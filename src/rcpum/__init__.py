@@ -5,7 +5,7 @@ and value-function derivatives, welfare and counterfactual objects, and
 consistency diagnostics.
 """
 
-from .asf import AsfEvaluator, asf, ybar_given_beta
+from .asf import AsfEvaluator, ybar_given_beta
 from .diagnostics import (
     DiagnosticsReport,
     build_report,

@@ -1,11 +1,21 @@
 """Mean demand evaluation: the per-coefficient mean choice and the average
 structural function with all heterogeneity integrated out.
 
-Exact strategies only are used on the identification path: closed forms for
-logit-style models (including Gumbel-smoothed bundle models) and full
-enumeration for finite disturbance supports.  A seeded Monte-Carlo fallback
-over disturbance scenarios exists behind the same interface but nothing in
-the acceptance path consumes randomness.
+Every model carries a compiled ``FiniteBudgetKernel`` (G, Y, D, w, sigma):
+the good-sum matrix, the budget, the disturbance of each bundle in each
+scenario (-inf where a bundle is not considered), the scenario weights, and
+the Gumbel scale, or None for the hard argmax with ties averaged.  One
+vectorized kernel evaluates all of them, logit included, at a whole
+coefficient support at once:
+
+    U = ((x - c) * B) @ G @ Y'                          (support x budget)
+    P = softmax((U + D) / sigma) or argmax mask of U + D   (per scenario)
+    ybar = sum_t w_t P_t @ Y
+
+so the ASF makes one kernel call per covariate point.  Exact evaluation is
+what the identification path uses.  A seeded Monte-Carlo fallback over
+disturbance scenarios exists behind the same interface but nothing in the
+acceptance path consumes randomness.
 """
 
 from __future__ import annotations
@@ -15,55 +25,31 @@ import threading
 
 import numpy as np
 
-from . import logit
-from .exceptions import ConfigurationError, InfeasibleScenarioError
-from .models import (
-    EXCLUDED,
-    BundleModel,
-    LogitModel,
-    TabulatedModel,
-    scenario_weights,
-    solve_choice,
-)
+from .exceptions import ConfigurationError
+from .models import BundleModel, TabulatedModel
 
 
-def _softmax_bundle_demand(model, idx, scenario):
-    """Closed-form mean bundle under Gumbel smoothing of one scenario."""
-    table = model.scenario_table(scenario)
-    bundles = []
-    utilities = []
-    for y, d in sorted(table.items()):
-        if d is EXCLUDED:
-            continue
-        bundles.append(y)
-        utilities.append((float(np.dot(y, idx)) + d) / model.smoothing)
-    if not bundles:
-        raise InfeasibleScenarioError(f"scenario {scenario} excludes every bundle")
-    z = np.asarray(utilities)
-    z -= z.max()
-    p = np.exp(z)
-    p /= p.sum()
-    return p @ np.asarray(bundles)
+def _scenario_choices(model, x, beta):
+    """Choice probabilities over the budget in every scenario, shaped
+    beta.shape[:-1] + (scenarios, budget)."""
+    kernel = model.kernel
+    z = (model.indices(x, beta) @ kernel.Y.T)[..., None, :] + kernel.D
+    best = z.max(axis=-1, keepdims=True)
+    if kernel.sigma is None:
+        p = (z == best).astype(float)
+    else:
+        p = np.exp((z - best) / kernel.sigma)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def ybar_given_beta(model, x, beta):
-    """Mean demand vector at fixed slope coefficients (disturbance integrated)."""
-    if isinstance(model, LogitModel):
-        idx = model.indices(x, beta)
-        return logit.choice_probabilities(model.alphas, idx, model.outside_good)
-    if isinstance(model, BundleModel) and model.smoothing is not None:
-        idx = model.indices(x, beta)
-        out = np.zeros(model.n_goods)
-        for s, scen in enumerate(model.scenarios):
-            out += scen.weight * _softmax_bundle_demand(model, idx, s)
-        return out
-    if isinstance(model, (BundleModel, TabulatedModel)):
-        weights = scenario_weights(model)
-        out = np.zeros(model.n_goods)
-        for s, w in enumerate(weights):
-            out += w * solve_choice(model, x, beta, s)
-        return out
-    raise ConfigurationError(f"no exact evaluation strategy for {type(model).__name__}")
+    """Mean demand at fixed slope coefficients (disturbance integrated).
+
+    ``beta`` is one coefficient vector, giving shape (K,), or an (S,
+    total_dim) matrix of them, giving one demand row per coefficient vector.
+    """
+    p = _scenario_choices(model, x, beta)
+    return np.einsum("t,...tb,bk->...k", model.kernel.w, p, model.kernel.Y)
 
 
 class AsfEvaluator:
@@ -90,6 +76,9 @@ class AsfEvaluator:
         self.strategy = strategy
         self.n_draws = n_draws
         self.seed = seed
+        support = list(beta_dist.support())
+        self._weights = np.array([w for w, _ in support], dtype=float)
+        self._points = np.array([b for _, b in support], dtype=float)
         self._cache = {}
         self._lock = threading.Lock()
 
@@ -103,20 +92,22 @@ class AsfEvaluator:
         return ybar_given_beta(self.model, x, beta)
 
     def _monte_carlo_ybar(self, x, beta):
-        # Scenario draws are re-seeded per point (stable digest, not the
-        # salted builtin hash) so results depend on neither evaluation order
-        # nor the process.
-        digest = hashlib.blake2s(
-            np.asarray(x, dtype=float).tobytes() + np.asarray(beta, dtype=float).tobytes()
-        ).digest()
-        point_key = int.from_bytes(digest[:8], "little")
-        rng = np.random.default_rng((self.seed, point_key))
-        weights = np.asarray(scenario_weights(self.model))
-        draws = rng.choice(len(weights), size=self.n_draws, p=weights)
-        out = np.zeros(self.model.n_goods)
-        for s in draws:
-            out += solve_choice(self.model, x, beta, int(s))
-        return out / self.n_draws
+        # Scenario draws are re-seeded per coefficient vector (stable digest,
+        # not the salted builtin hash) so results depend on neither
+        # evaluation order nor the process.  The mean over drawn rows of D
+        # weights each scenario by its share of the draws.
+        x = np.asarray(x, dtype=float)
+        beta = np.asarray(beta, dtype=float)
+        w = self.model.kernel.w
+        shares = np.empty(beta.shape[:-1] + w.shape)
+        for i in np.ndindex(beta.shape[:-1]):
+            digest = hashlib.blake2s(x.tobytes() + beta[i].tobytes()).digest()
+            point_key = int.from_bytes(digest[:8], "little")
+            rng = np.random.default_rng((self.seed, point_key))
+            draws = rng.choice(len(w), size=self.n_draws, p=w)
+            shares[i] = np.bincount(draws, minlength=len(w)) / self.n_draws
+        p = _scenario_choices(self.model, x, beta)
+        return np.einsum("...t,...tb,bk->...k", shares, p, self.model.kernel.Y)
 
     def asf(self, x):
         """Average structural function: mean demand over the full mixture."""
@@ -126,15 +117,8 @@ class AsfEvaluator:
             hit = self._cache.get(key)
         if hit is not None:
             return hit
-        out = np.zeros(self.model.n_goods)
-        for w, beta in self.beta_dist.support():
-            out += w * self.ybar_given_beta(x, beta)
+        out = self._weights @ self.ybar_given_beta(x, self._points)
         out.setflags(write=False)
         with self._lock:
             self._cache.setdefault(key, out)
         return out
-
-
-def asf(evaluator, x):
-    """Module-level alias matching the operation name."""
-    return evaluator.asf(x)

@@ -190,8 +190,7 @@ class ScenarioConfig:
     tau_rel: float
     welfare: dict | None
     diagnostics: dict
-    seed: int
-    asf_options: dict
+    evaluator: AsfEvaluator
     echo: dict
 
 
@@ -264,6 +263,14 @@ def parse_config(raw):
 
     asf_options = raw.get("asf") or {}
     _expect_keys(asf_options, "asf", optional=("strategy", "n_draws"))
+    seed = raw.get("seed")
+    evaluator = AsfEvaluator(
+        model,
+        beta,
+        strategy=asf_options.get("strategy", "exact"),
+        n_draws=int(asf_options.get("n_draws", 0)),
+        seed=None if seed is None else int(seed),
+    )
 
     scheme = _build_scheme(raw.get("fd"))
     if model.nonnegative_domain and scheme.kind != "forward":
@@ -282,9 +289,7 @@ def parse_config(raw):
         welfare=welfare,
         diagnostics={"cauchy_schwarz": bool(diagnostics.get("cauchy_schwarz", True)),
                      "symmetry": bool(diagnostics.get("symmetry", True))},
-        seed=int(raw.get("seed", 0)),
-        asf_options={"strategy": asf_options.get("strategy", "exact"),
-                     "n_draws": int(asf_options.get("n_draws", 0))},
+        evaluator=evaluator,
         echo=raw,
     )
 
@@ -380,14 +385,7 @@ def run(config_path, out_dir, seed=None, max_order=None, scheme=None, route=None
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    evaluator = AsfEvaluator(
-        config.model,
-        config.beta,
-        strategy=config.asf_options["strategy"],
-        n_draws=config.asf_options["n_draws"],
-        seed=config.seed,
-    )
+    evaluator = config.evaluator
 
     failure = None
     moment_tables = {}

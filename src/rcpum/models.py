@@ -7,6 +7,10 @@ point, and a disturbance family.  Utility of a quantity vector y is
 
 so the slope indices vanish exactly at the centering point c, which is where
 all identification formulas are evaluated.
+
+Every model is compiled once, at construction, to a ``FiniteBudgetKernel``
+stored on the model as ``model.kernel``; ``solve_choice`` and
+``latent_utility`` stay as per-scenario references built from the tables.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import flat_offsets
 from .exceptions import ConfigurationError, InfeasibleScenarioError
 
 
@@ -35,6 +38,36 @@ class _Excluded:
 
 
 EXCLUDED = _Excluded()
+
+
+@dataclass(frozen=True)
+class FiniteBudgetKernel:
+    """A model's choice rule as softmax or argmax over a finite budget.
+
+    ``G`` (total_dim x K) sums the shifted covariate products of each good
+    into its index, ``Y`` (budget x K) lists the budget, ``D`` (scenarios x
+    budget) holds the disturbance of every bundle in every scenario with
+    -inf for bundles a scenario does not consider, and ``w`` the scenario
+    weights.  In scenario t the choice puts probability softmax((u . Y_b +
+    D_tb) / sigma) on bundle b, or with ``sigma`` None spreads uniformly
+    over the maximizers.
+    """
+
+    G: np.ndarray
+    Y: np.ndarray
+    D: np.ndarray
+    w: np.ndarray
+    sigma: float | None
+
+    def __post_init__(self):
+        for name in ("G", "Y", "D", "w"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+
+def _disturbance_value(d):
+    return -np.inf if d is EXCLUDED else float(d)
 
 
 def _as_center(center, total_dim):
@@ -71,17 +104,30 @@ class ModelSpec:
     def total_dim(self):
         return sum(self.dims)
 
-    def indices(self, x, beta):
-        """Utility index of each good: beta_k' (x_k - c_k)."""
+    def _compile(self, Y, D, w, sigma):
+        """Store the model's finite-budget kernel on the frozen instance."""
+        G = np.repeat(np.eye(self.n_goods), self.dims, axis=0)
+        object.__setattr__(self, "kernel", FiniteBudgetKernel(G, Y, D, w, sigma))
+
+    def _check_shapes(self, x, beta):
         x = np.asarray(x, dtype=float)
         beta = np.asarray(beta, dtype=float)
-        if x.shape != (self.total_dim,) or beta.shape != (self.total_dim,):
+        if x.shape != (self.total_dim,) or beta.ndim not in (1, 2) or (
+            beta.shape[-1] != self.total_dim
+        ):
             raise ConfigurationError(
                 f"covariate/coefficient vectors must have length {self.total_dim}"
             )
-        shifted = (x - self.center) * beta
-        offs = flat_offsets(self.dims)
-        return np.array([shifted[offs[k] : offs[k + 1]].sum() for k in range(self.n_goods)])
+        return x, beta
+
+    def indices(self, x, beta):
+        """Utility index of each good: beta_k' (x_k - c_k).
+
+        ``beta`` is one coefficient vector, or a matrix with one per row,
+        which gives one row of indices per coefficient vector.
+        """
+        x, beta = self._check_shapes(x, beta)
+        return ((x - self.center) * beta) @ self.kernel.G
 
 
 @dataclass(frozen=True)
@@ -91,6 +137,10 @@ class LogitModel(ModelSpec):
     With ``index_form="power"`` the utility index of good k is x_k ** rho_k
     for a scalar shifter (d_k must be 1), the random exponent playing the
     role of the slope coefficient; the centering point must be all-ones.
+
+    The kernel is the softmax over the unit vectors, plus the zero bundle
+    when there is an outside good, with the intercepts as the one scenario's
+    disturbance.
     """
 
     alphas: tuple[float, ...] = None
@@ -111,11 +161,16 @@ class LogitModel(ModelSpec):
                 raise ConfigurationError("power indices require a single shifter per good")
             if not np.allclose(self.center, 1.0):
                 raise ConfigurationError("power indices are centered at the all-ones point")
+        Y = np.eye(self.n_goods)
+        D = alphas
+        if self.outside_good:
+            Y = np.vstack([Y, np.zeros(self.n_goods)])
+            D = alphas + (0.0,)
+        self._compile(Y, [D], [1.0], 1.0)
 
     def indices(self, x, beta):
         if self.index_form == "power":
-            x = np.asarray(x, dtype=float)
-            beta = np.asarray(beta, dtype=float)
+            x, beta = self._check_shapes(x, beta)
             if np.any(x <= 0):
                 raise ConfigurationError("power indices need strictly positive shifters")
             return x**beta
@@ -172,6 +227,8 @@ class BundleModel(ModelSpec):
     every considered bundle, which integrates to a closed-form softmax over
     the lattice and makes the mean demand real-analytic in covariates.  With
     ``smoothing=None`` the solver is the hard argmax with ties averaged.
+
+    The kernel scores every lattice bundle once per scenario.
     """
 
     scenarios: tuple[BundleScenario, ...] = ()
@@ -194,6 +251,11 @@ class BundleModel(ModelSpec):
         _check_scenarios(self.scenarios, self.n_goods, lattice)
         if self.smoothing is not None and self.smoothing <= 0:
             raise ConfigurationError("smoothing scale must be positive")
+        # a repeated lattice vector is one bundle, as in scenario_table
+        budget = tuple(dict.fromkeys(lattice))
+        D = [[_disturbance_value(scen.disturbance(y)) for y in budget] for scen in self.scenarios]
+        weights = [scen.weight for scen in self.scenarios]
+        self._compile(budget, D, weights, self.smoothing)
 
     def scenario_table(self, s):
         """Tabulated D(y, eps) over the lattice for scenario index s."""
@@ -237,6 +299,8 @@ class TabulatedModel(ModelSpec):
         object.__setattr__(self, "weights", tuple(float(v) for v in w))
         object.__setattr__(self, "tables", tuple(tables))
         object.__setattr__(self, "budget", tuple(sorted(budgets)))
+        D = [[_disturbance_value(tab.get(y, EXCLUDED)) for y in self.budget] for tab in tables]
+        self._compile(self.budget, D, self.weights, None)
 
     def scenario_table(self, s):
         tab = self.tables[s]
@@ -262,14 +326,6 @@ def _check_scenarios(scenarios, n_goods, lattice):
                 raise ConfigurationError("consideration set must lie inside the bundle lattice")
     if abs(total - 1.0) > 1e-12:
         raise ConfigurationError(f"scenario weights sum to {total}, expected 1 within 1e-12")
-
-
-def scenario_weights(model):
-    if isinstance(model, BundleModel):
-        return tuple(s.weight for s in model.scenarios)
-    if isinstance(model, TabulatedModel):
-        return model.weights
-    raise ConfigurationError("model has no finite disturbance scenarios")
 
 
 def _require_finite_scenarios(model):

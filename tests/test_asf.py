@@ -1,4 +1,6 @@
+import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,15 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rcpum import (
+    EXCLUDED,
     AsfEvaluator,
     BundleModel,
     BundleScenario,
     ConfigurationError,
     DiscreteBeta,
     LogitModel,
-    asf,
+    TabulatedModel,
+    solve_choice,
     ybar_given_beta,
 )
+from rcpum.distributions import flat_offsets
+from rcpum.logit import choice_probabilities
 
 DIMS = (1, 1)
 
@@ -42,7 +48,7 @@ def test_asf_mixture_at_center():
     model = LogitModel(dims=DIMS, alphas=(0.0, 0.0))
     beta = DiscreteBeta(DIMS, [[1, 1], [1, 3]], [0.5, 0.5])
     evaluator = AsfEvaluator(model, beta)
-    assert np.allclose(asf(evaluator, np.zeros(2)), [0.5, 0.5])
+    assert np.allclose(evaluator.asf(np.zeros(2)), [0.5, 0.5])
 
 
 def test_asf_mixture_closed_form_average():
@@ -56,7 +62,7 @@ def test_asf_mixture_closed_form_average():
         return e / e.sum()
 
     expected = 0.5 * softmax2([0.0, 0.1]) + 0.5 * softmax2([0.0, 0.3])
-    assert np.allclose(asf(evaluator, x), expected, atol=1e-14)
+    assert np.allclose(evaluator.asf(x), expected, atol=1e-14)
 
 
 def test_point_mass_asf_equals_ybar():
@@ -64,7 +70,7 @@ def test_point_mass_asf_equals_ybar():
     beta = DiscreteBeta(DIMS, [[1.2, 0.7]], [1.0])
     evaluator = AsfEvaluator(model, beta)
     x = np.array([0.2, -0.1])
-    assert np.allclose(asf(evaluator, x), ybar_given_beta(model, x, np.array([1.2, 0.7])))
+    assert np.allclose(evaluator.asf(x), ybar_given_beta(model, x, np.array([1.2, 0.7])))
 
 
 @given(st.lists(st.floats(-2, 2), min_size=2, max_size=2))
@@ -198,7 +204,11 @@ def test_monte_carlo_stable_across_processes():
             [sys.executable, "-c", snippet],
             capture_output=True,
             text=True,
-            env={"PYTHONHASHSEED": hs, "PATH": "/usr/bin:/bin"},
+            env={
+                "PYTHONHASHSEED": hs,
+                "PATH": "/usr/bin:/bin",
+                "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
+            },
         ).stdout
         for hs in ("0", "12345")
     }
@@ -224,3 +234,153 @@ def test_dims_mismatch_rejected():
     beta = DiscreteBeta((2,), [[1.0, 1.0]], [1.0])
     with pytest.raises(ConfigurationError):
         AsfEvaluator(model, beta)
+
+
+# Dyadic covariates, coefficients and disturbances keep every utility exact
+# in floating point, so argmax ties do not depend on summation order.
+dyadic = st.integers(min_value=-64, max_value=64).map(lambda n: n / 16)
+DYADIC_WEIGHTS = {1: (1.0,), 2: (0.25, 0.75), 3: (0.5, 0.25, 0.25)}
+
+
+@st.composite
+def finite_scenario_models(draw, smoothing=st.none()):
+    """A bundle or tabulated model over {0,1}^K with consideration sets,
+    returned with its scenario weights; a drawn smoothing scale other than
+    None makes it a smoothed bundle model."""
+    smoothing = draw(smoothing)
+    dims = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    n_goods = len(dims)
+    lattice = list(itertools.product((0.0, 1.0), repeat=n_goods))
+    subsets = st.sets(st.sampled_from(lattice), min_size=1)
+    weights = DYADIC_WEIGHTS[draw(st.integers(1, 3))]
+    if smoothing is not None or draw(st.booleans()):
+        pairs = list(itertools.combinations(range(1, n_goods + 1), 2))
+        scenarios = tuple(
+            BundleScenario(
+                w,
+                tuple(draw(st.lists(dyadic, min_size=n_goods, max_size=n_goods))),
+                tuple((j, k, draw(dyadic)) for j, k in pairs),
+                draw(st.none() | subsets.map(frozenset)),
+            )
+            for w in weights
+        )
+        return BundleModel(dims=dims, scenarios=scenarios, smoothing=smoothing), weights
+    tables = []
+    for _ in weights:
+        keys = draw(subsets)
+        considered = draw(st.sets(st.sampled_from(sorted(keys)), min_size=1))
+        tables.append({y: draw(dyadic) if y in considered else EXCLUDED for y in keys})
+    return TabulatedModel(dims=dims, weights=weights, tables=tuple(tables)), weights
+
+
+def draw_point_and_support(data, model, coords=dyadic):
+    dim = model.total_dim
+    x = np.array(data.draw(st.lists(coords, min_size=dim, max_size=dim)))
+    support = data.draw(
+        st.lists(st.lists(dyadic, min_size=dim, max_size=dim), min_size=1, max_size=4)
+    )
+    return x, np.array(support)
+
+
+def loop_indices(model, x, beta):
+    offs = flat_offsets(model.dims)
+    return np.array(
+        [
+            sum((x[j] - model.center[j]) * beta[j] for j in range(offs[k], offs[k + 1]))
+            for k in range(model.n_goods)
+        ]
+    )
+
+
+def assert_batched_rows(model, x, support, reference, atol):
+    got = ybar_given_beta(model, x, support)
+    assert got.shape == (len(support), model.n_goods)
+    for row, beta in zip(got, support):
+        single = ybar_given_beta(model, x, beta)
+        assert single.shape == (model.n_goods,)
+        np.testing.assert_allclose(single, row, rtol=0, atol=atol)
+        np.testing.assert_allclose(row, reference(beta), rtol=0, atol=atol)
+
+
+@given(finite_scenario_models(), st.data())
+def test_hard_argmax_kernel_matches_solve_choice(model_weights, data):
+    model, weights = model_weights
+    x, support = draw_point_and_support(data, model)
+
+    def reference(beta):
+        return sum(w * solve_choice(model, x, beta, t) for t, w in enumerate(weights))
+
+    assert_batched_rows(model, x, support, reference, 1e-15)
+
+
+@given(finite_scenario_models(smoothing=st.sampled_from((0.5, 1.0, 2.0))), st.data())
+def test_smoothed_bundle_kernel_matches_softmax_enumeration(model_weights, data):
+    model, weights = model_weights
+    x, support = draw_point_and_support(data, model)
+
+    def reference(beta):
+        idx = loop_indices(model, x, beta)
+        out = np.zeros(model.n_goods)
+        for w, scen in zip(weights, model.scenarios):
+            bundles = [y for y in model.lattice if scen.disturbance(y) is not EXCLUDED]
+            z = np.array([(np.dot(y, idx) + scen.disturbance(y)) for y in bundles])
+            z = (z - z.max()) / model.smoothing
+            p = np.exp(z) / np.exp(z).sum()
+            out += w * (p @ np.array(bundles))
+        return out
+
+    assert_batched_rows(model, x, support, reference, 1e-14)
+
+
+@given(
+    st.lists(dyadic, min_size=1, max_size=3),
+    st.booleans(),
+    st.sampled_from(("linear", "power")),
+    st.data(),
+)
+def test_logit_kernel_matches_closed_form(alphas, outside_good, index_form, data):
+    n_goods = len(alphas)
+    if index_form == "power":
+        dims = (1,) * n_goods
+        coords = st.integers(min_value=1, max_value=64).map(lambda n: n / 16)
+    else:
+        dims = tuple(data.draw(st.lists(st.integers(1, 2), min_size=n_goods, max_size=n_goods)))
+        coords = dyadic
+    model = LogitModel(
+        dims=dims,
+        alphas=tuple(alphas),
+        outside_good=outside_good,
+        index_form=index_form,
+        center=np.ones(n_goods) if index_form == "power" else None,
+    )
+    x, support = draw_point_and_support(data, model, coords)
+
+    def reference(beta):
+        u = x**beta if index_form == "power" else loop_indices(model, x, beta)
+        return choice_probabilities(alphas, u, outside_good)
+
+    assert_batched_rows(model, x, support, reference, 1e-15)
+
+
+def test_bundle_disturbances_compiled_once(monkeypatch):
+    calls = []
+    disturbance = BundleScenario.disturbance
+
+    def counted(self, y):
+        calls.append(y)
+        return disturbance(self, y)
+
+    monkeypatch.setattr(BundleScenario, "disturbance", counted)
+    scenarios = (
+        BundleScenario(0.5, (0.4, -0.2), ((1, 2, 0.3),)),
+        BundleScenario(0.25, (-0.1, 0.5), ((1, 2, -0.6),)),
+        BundleScenario(0.25, (1.0, -0.8), (), frozenset({(0.0, 0.0), (1.0, 0.0)})),
+    )
+    model = BundleModel(dims=DIMS, scenarios=scenarios, smoothing=1.0)
+    evaluator = AsfEvaluator(model, DiscreteBeta(DIMS, [[1.0, 1.0], [1.0, 3.0]], [0.5, 0.5]))
+    evaluator.asf(np.zeros(2))
+    compiled = len(calls)
+    assert compiled == len(scenarios) * len(model.lattice)
+    for i in range(1, 20):
+        evaluator.asf(np.array([0.01 * i, -0.02 * i]))
+    assert len(calls) == compiled

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,6 +158,31 @@ def test_nonnegative_domain_requires_forward(tmp_path, capsys):
     assert summary["results"]["moments"]["2"]["entries"]["b2.1*b2.1"] == pytest.approx(
         5.0, rel=1e-3
     )
+
+
+@pytest.mark.parametrize(
+    "name, n_draws, keep_seed",
+    [
+        ("logit_k2_mixture", 8, True),
+        ("bundle_k2_smoothed", 8, False),
+        ("bundle_k2_smoothed", 0, True),
+    ],
+    ids=["logit_model", "no_seed", "no_draws"],
+)
+def test_monte_carlo_misconfiguration_exits_one(tmp_path, name, n_draws, keep_seed):
+    raw = json.loads(bundled(name).read_text())
+    raw["asf"] = {"strategy": "monte_carlo", "n_draws": n_draws}
+    if not keep_seed:
+        del raw["seed"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    command = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "rcpum.cli", *command], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert "config error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_resolve_config_path_passthrough(tmp_path):
