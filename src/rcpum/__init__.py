@@ -12,7 +12,6 @@ from .diagnostics import (
     cauchy_schwarz_check,
     complementarity_signs,
     sign_first_moment,
-    symmetry_check,
 )
 from .distributions import (
     DiscreteBeta,
@@ -47,7 +46,6 @@ from .numdiff import DerivativeTable, FdScheme, derivative_table, mixed_partial
 from .recovery import (
     ChainResult,
     MomentTable,
-    RecoveryConfig,
     VDerivTable,
     chain_ratios,
     exponent_moment_ratio,
@@ -66,7 +64,6 @@ from .welfare import (
     default_trust_radius,
     path_integral_v,
     quantile_match_vprime,
-    taylor_v,
 )
 
 __version__ = "0.1.0"

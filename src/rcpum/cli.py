@@ -37,7 +37,6 @@ from .models import EXCLUDED, BundleModel, BundleScenario, LogitModel, Tabulated
 from .numdiff import FdScheme, derivative_table
 from .recovery import (
     DEFAULT_TAU_REL,
-    RecoveryConfig,
     VDerivTable,
     chain_ratios,
     recover_moments_independence,
@@ -175,6 +174,42 @@ def _build_scheme(block):
     )
 
 
+def _optional_object(block, key, where):
+    value = block.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ConfigurationError(f"{where}.{key} must be an object")
+    return value or {}
+
+
+def _covariates(value, n, where):
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        x = None
+    if x is None or x.shape != (n,) or not np.all(np.isfinite(x)):
+        raise ConfigurationError(f"{where} must be a finite numeric vector of length {n}")
+    return x
+
+
+def _parse_welfare(block, n):
+    """Welfare request with covariate points and path segments as arrays."""
+    _expect_keys(
+        block, "welfare", optional=("points", "weighting", "trust_radius", "path_segments")
+    )
+    segments = []
+    for seg in block.get("path_segments", []):
+        if not isinstance(seg, (list, tuple)) or len(seg) != 2:
+            raise ConfigurationError("welfare.path_segments[] must be a pair of vectors")
+        segments.append(tuple(_covariates(x, n, "welfare.path_segments[][]") for x in seg))
+    radius = block.get("trust_radius")
+    return {
+        "points": [_covariates(x, n, "welfare.points[]") for x in block.get("points", [])],
+        "weighting": block.get("weighting", "unweighted"),
+        "trust_radius": None if radius is None else float(radius),
+        "path_segments": segments,
+    }
+
+
 @dataclass
 class ScenarioConfig:
     """Validated configuration with the objects the pipeline consumes."""
@@ -189,7 +224,6 @@ class ScenarioConfig:
     v_derivs: VDerivTable | None
     tau_rel: float
     welfare: dict | None
-    diagnostics: dict
     evaluator: AsfEvaluator
     echo: dict
 
@@ -200,7 +234,7 @@ def parse_config(raw):
         raw,
         "config",
         required=("model", "beta", "recovery"),
-        optional=("fd", "welfare", "diagnostics", "seed", "asf"),
+        optional=("fd", "welfare", "seed", "asf"),
     )
     model = _build_model(raw["model"])
     beta = _build_beta(raw["beta"], model.dims)
@@ -218,18 +252,23 @@ def parse_config(raw):
     max_order = int(rec["max_order"])
     if max_order < 1:
         raise ConfigurationError("recovery.max_order must be >= 1")
-    scales = {int(k): float(v) for k, v in (rec.get("scales") or {}).items()}
+    scales = {int(k): float(v) for k, v in _optional_object(rec, "scales", "recovery").items()}
     if route == "scale":
         for m in range(1, max_order + 1):
-            if m not in scales:
-                raise ConfigurationError(f"scale route needs recovery.scales[{m}]")
+            if not np.isfinite(scales.get(m, np.nan)) or scales[m] == 0:
+                raise ConfigurationError(
+                    f"scale route needs a finite nonzero recovery.scales[{m}]"
+                )
     abs_mean = None if rec.get("abs_mean") is None else float(rec["abs_mean"])
-    if route == "independence" and (abs_mean is None or abs_mean <= 0):
-        raise ConfigurationError("independence route needs a positive recovery.abs_mean")
+    if route == "independence" and not (abs_mean is not None and 0 < abs_mean < np.inf):
+        raise ConfigurationError("independence route needs a positive finite recovery.abs_mean")
     v_derivs = None
     if rec.get("v_derivs") is not None:
         v_derivs = VDerivTable(
-            {tuple(int(g) for g in k.split(",")): float(v) for k, v in rec["v_derivs"].items()}
+            {
+                tuple(int(g) for g in k.split(",")): float(v)
+                for k, v in _optional_object(rec, "v_derivs", "recovery").items()
+            }
         )
     if route == "vknown" and v_derivs is None:
         if not isinstance(model, LogitModel) or model.index_form != "linear":
@@ -241,25 +280,12 @@ def parse_config(raw):
             logit.vderiv_entries(model.alphas, max_order + 1, model.outside_good)
         )
     tau_rel = float(rec.get("tau_rel", DEFAULT_TAU_REL))
-    # surface invalid route/scale combinations as config errors up front
-    RecoveryConfig(
-        route=route,
-        max_order=max_order,
-        scales=scales or None,
-        abs_mean=abs_mean,
-        v_derivs=v_derivs,
-        tau_rel=tau_rel,
-    )
+    if not 0 < tau_rel < np.inf:
+        raise ConfigurationError("recovery.tau_rel must be positive and finite")
 
     welfare = raw.get("welfare")
     if welfare is not None:
-        _expect_keys(
-            welfare,
-            "welfare",
-            optional=("points", "weighting", "trust_radius", "path_segments"),
-        )
-    diagnostics = raw.get("diagnostics") or {}
-    _expect_keys(diagnostics, "diagnostics", optional=("cauchy_schwarz", "symmetry"))
+        welfare = _parse_welfare(welfare, sum(model.dims))
 
     asf_options = raw.get("asf") or {}
     _expect_keys(asf_options, "asf", optional=("strategy", "n_draws"))
@@ -287,8 +313,6 @@ def parse_config(raw):
         v_derivs=v_derivs,
         tau_rel=tau_rel,
         welfare=welfare,
-        diagnostics={"cauchy_schwarz": bool(diagnostics.get("cauchy_schwarz", True)),
-                     "symmetry": bool(diagnostics.get("symmetry", True))},
         evaluator=evaluator,
         echo=raw,
     )
@@ -446,8 +470,8 @@ def _run_welfare(config, evaluator, v_table):
     tables = {
         o: VDerivTable({g: v for g, v in v_table.items() if len(g) == o}) for o in orders
     }
-    points = [np.asarray(p, dtype=float) for p in block.get("points", [])]
-    radius = block.get("trust_radius")
+    points = block["points"]
+    radius = block["trust_radius"]
     if radius is None:
         radius = max(
             (default_trust_radius(model, config.beta, x) for x in points),
@@ -456,9 +480,9 @@ def _run_welfare(config, evaluator, v_table):
     vmodel = TaylorVModel(
         gradient=evaluator.asf(model.center),
         tables=tables,
-        trust_radius=float(radius),
+        trust_radius=radius,
     )
-    weighting = block.get("weighting", "unweighted")
+    weighting = block["weighting"]
     out = {"weighting": weighting, "points": [], "path_integrals": []}
     for x in points:
         # extrapolation warnings are advisory; the trust radius is echoed
@@ -466,9 +490,7 @@ def _run_welfare(config, evaluator, v_table):
             warnings.simplefilter("ignore")
             val = average_indirect_utility(vmodel, model, config.beta, x, weighting)
         out["points"].append({"x": [float(v) for v in x], "value": float(val)})
-    for seg in block.get("path_segments", []):
-        xi = np.asarray(seg[0], dtype=float)
-        xf = np.asarray(seg[1], dtype=float)
+    for xi, xf in block["path_segments"]:
         out["path_integrals"].append(
             {
                 "x_init": [float(v) for v in xi],
@@ -519,8 +541,8 @@ def _write_reports(out, config, evaluator, moment_tables, v_table, welfare_out, 
                 "cauchy_schwarz_stat": None
                 if report.cauchy_schwarz_stat is None
                 else float(report.cauchy_schwarz_stat),
-                "symmetry_residual": float(report.symmetry_residual),
-                "symmetry_applicable": report.symmetry_applicable,
+                "overid_residual": report.overid_residual,
+                "overid_dof": report.overid_dof,
                 "sign_beta11": report.sign_beta11,
                 "complementarity_signs": report.complementarity_signs,
             },

@@ -8,6 +8,7 @@ inequalities, not finite-precision tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exceptions import ConfigurationError, RelevanceError
@@ -16,9 +17,17 @@ from .recovery import DEFAULT_TAU_REL
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
+    """Diagnostics of one run.
+
+    ``overid_dof`` counts the restrictions the factorization puts on the
+    recovered orders of the table.  At 0 (one good, or two goods with one
+    characteristic each) the value-function candidates agree by
+    construction, so ``overid_residual`` is rounding only and tests nothing.
+    """
+
     cauchy_schwarz_stat: float | None
-    symmetry_residual: float
-    symmetry_applicable: bool
+    overid_residual: float | None
+    overid_dof: int
     relevance_map: dict
     sign_beta11: str
     complementarity_signs: list | None
@@ -28,8 +37,9 @@ class DiagnosticsReport:
         rows = []
         if self.cauchy_schwarz_stat is not None:
             rows.append(("cauchy_schwarz_stat", f"{self.cauchy_schwarz_stat:.17g}"))
-        rows.append(("symmetry_residual", f"{self.symmetry_residual:.17g}"))
-        rows.append(("symmetry_applicable", str(self.symmetry_applicable).lower()))
+        if self.overid_residual is not None:
+            rows.append(("overid_residual", f"{self.overid_residual:.17g}"))
+        rows.append(("overid_dof", str(self.overid_dof)))
         rows.append(("sign_beta11", self.sign_beta11))
         if self.complementarity_signs is not None:
             for j, row in enumerate(self.complementarity_signs, start=1):
@@ -57,27 +67,34 @@ def cauchy_schwarz_check(table, tau_rel=DEFAULT_TAU_REL):
     return (own_1 / cross_1) * (own_2 / cross_2)
 
 
-def symmetry_check(table, tau_rel=DEFAULT_TAU_REL):
-    """Max relative spread among estimates of one derivative stored under
-    different differentiation orderings.
+def overid_residual(v_derivs, tau_rel=DEFAULT_TAU_REL):
+    """Largest relative spread among the value-function candidates that
+    different (component, moment) splits of one multi-index give.
 
-    Symmetry of mixed partials makes every ordering estimate the same
-    object, so the spread flags corrupted or inconsistent entries.  Returns
-    (residual, applicable); tables with only first-order entries have no
-    ordering pairs and report (0.0, False).
+    The factorization makes every split estimate the same partial, so an
+    entry inconsistent with it shows up here whenever ``overid_dof`` is
+    positive.  Partials at or below ``tau_rel`` are skipped.
     """
-    residual = 0.0
-    applicable = False
-    for (k, idx), values in table.replica_groups().items():
-        if idx.order < 2 or len(values) < 2:
-            continue
-        applicable = True
-        scale = max(abs(v) for v in values)
-        if scale <= tau_rel:
-            continue
-        spread = (max(values) - min(values)) / scale
-        residual = max(residual, spread)
-    return residual, applicable
+    return max(
+        (
+            v_derivs.discrepancies.get(gamma, 0.0) / abs(v)
+            for gamma, v in v_derivs.items()
+            if abs(v) > tau_rel
+        ),
+        default=0.0,
+    )
+
+
+def overid_dof(dims, orders):
+    """Restrictions the factorization puts on table entries of the given
+    moment orders: entries minus value-function partials minus moments,
+    plus the one scale the product leaves free, summed over orders."""
+    n_goods, n_vars = len(dims), sum(dims)
+    dof = 0
+    for m in orders:
+        n_moments = math.comb(n_vars + m - 1, m)
+        dof += n_goods * n_moments - math.comb(n_goods + m, m + 1) - n_moments + 1
+    return dof
 
 
 def sign_first_moment(table, tau_rel=DEFAULT_TAU_REL):
@@ -109,11 +126,14 @@ def build_report(table, v_derivs=None, relevance=None, tau_rel=DEFAULT_TAU_REL):
         cs = cauchy_schwarz_check(table, tau_rel)
     except (ConfigurationError, RelevanceError, KeyError):
         cs = None
-    residual, applicable = symmetry_check(table, tau_rel)
+    residual, dof = None, 0
+    if v_derivs is not None:
+        residual = overid_residual(v_derivs, tau_rel)
+        dof = overid_dof(table.dims, {len(g) - 1 for g in v_derivs.entries})
     return DiagnosticsReport(
         cauchy_schwarz_stat=cs,
-        symmetry_residual=residual,
-        symmetry_applicable=applicable,
+        overid_residual=residual,
+        overid_dof=dof,
         relevance_map=dict(relevance or {}),
         sign_beta11=sign_first_moment(table, tau_rel),
         complementarity_signs=complementarity_signs(v_derivs, tau_rel) if v_derivs else None,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,10 +161,8 @@ def mixed_partial(evaluator, good, pairs, scheme=None):
 class DerivativeTable:
     """All mixed-partial estimates at the center up to ``max_order``.
 
-    Entries are keyed by (component good, good tuple, characteristic tuple)
-    with the differentiation sequence kept in every order, so each canonical
-    derivative appears under all of its orderings; symmetry of mixed
-    partials makes the orderings estimates of one object.
+    Mixed partials are symmetric, so each derivative is stored once, keyed
+    by (component good, sorted tuple of (good, characteristic) pairs).
     """
 
     dims: tuple[int, ...]
@@ -174,55 +172,25 @@ class DerivativeTable:
     entries: dict
 
     def value(self, good, pairs):
-        """Canonical lookup by unordered (good, characteristic) pairs."""
-        ordered = tuple(sorted(tuple(p) for p in pairs))
-        key = (good, tuple(g for g, _ in ordered), tuple(c for _, c in ordered))
+        """Lookup by (good, characteristic) pairs in any order."""
+        key = (good, tuple(sorted(tuple(p) for p in pairs)))
         if key not in self.entries:
-            raise KeyError(f"no entry for component {good}, index {ordered}")
+            raise KeyError(f"no entry for component {good}, index {key[1]}")
         return self.entries[key]
 
     def classes(self, order=None):
-        """Iterate (component, MomentIndex, value), one per canonical class."""
-        seen = set()
-        for (k, gamma, xi), v in sorted(self.entries.items()):
-            if order is not None and len(gamma) != order:
-                continue
-            idx = MomentIndex(tuple(zip(gamma, xi)))
-            if (k, idx) in seen:
-                continue
-            seen.add((k, idx))
-            yield k, idx, v
-
-    def replica_groups(self, order=None):
-        """Ordered-key estimates grouped by canonical class."""
-        groups = {}
-        for (k, gamma, xi), v in sorted(self.entries.items()):
-            if order is not None and len(gamma) != order:
-                continue
-            idx = MomentIndex(tuple(zip(gamma, xi)))
-            groups.setdefault((k, idx), []).append(v)
-        return groups
+        """Iterate (component, MomentIndex, value) in sorted key order."""
+        for (k, pairs), v in sorted(self.entries.items()):
+            if order is None or len(pairs) == order:
+                yield k, MomentIndex(pairs), v
 
     @property
     def orders(self):
-        return tuple(sorted({len(gamma) for _, gamma, _ in self.entries}))
-
-    def with_entry(self, good, gamma, xi, value):
-        """Copy of the table with one ordered entry replaced."""
-        key = (good, tuple(gamma), tuple(xi))
-        if key not in self.entries:
-            raise KeyError(f"no entry under ordered key {key}")
-        entries = dict(self.entries)
-        entries[key] = value
-        return replace(self, entries=entries)
+        return tuple(sorted({len(pairs) for _, pairs in self.entries}))
 
 
 def derivative_table(evaluator, max_order, scheme=None):
-    """Estimate every mixed partial of orders 1..max_order.
-
-    Each canonical derivative is computed once and recorded under all
-    orderings of its differentiation sequence.
-    """
+    """Estimate every mixed partial of orders 1..max_order, once each."""
     scheme = scheme or FdScheme()
     if max_order < 1:
         raise ConfigurationError("max_order must be >= 1")
@@ -232,10 +200,7 @@ def derivative_table(evaluator, max_order, scheme=None):
     for order in range(1, max_order + 1):
         for combo in itertools.combinations_with_replacement(all_pairs, order):
             for k in range(1, len(dims) + 1):
-                val = mixed_partial(evaluator, k, combo, scheme)
-                for perm in set(itertools.permutations(combo)):
-                    key = (k, tuple(g for g, _ in perm), tuple(c for _, c in perm))
-                    entries[key] = val
+                entries[(k, combo)] = mixed_partial(evaluator, k, combo, scheme)
     return DerivativeTable(
         dims=dims,
         max_order=max_order,

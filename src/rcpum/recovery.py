@@ -86,37 +86,6 @@ class VDerivTable:
         return sorted(self.entries.items())
 
 
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """Route selection and the scale information it needs."""
-
-    route: str = "scale"
-    max_order: int = 2
-    scales: dict = None
-    abs_mean: float = None
-    v_derivs: VDerivTable = None
-    tau_rel: float = DEFAULT_TAU_REL
-
-    def __post_init__(self):
-        if self.route not in ("scale", "independence", "vknown"):
-            raise ConfigurationError(f"unknown recovery route {self.route!r}")
-        if self.max_order < 1:
-            raise ConfigurationError("max_order must be >= 1")
-        if self.route == "scale":
-            scales = self.scales or {}
-            for m in range(1, self.max_order + 1):
-                v = scales.get(m)
-                if v is None or not np.isfinite(v) or v == 0:
-                    raise ConfigurationError(
-                        f"scale route needs a finite nonzero scale for order {m}"
-                    )
-        if self.route == "independence":
-            if self.abs_mean is None or not np.isfinite(self.abs_mean) or self.abs_mean <= 0:
-                raise ConfigurationError("independence route needs a positive finite abs_mean")
-        if self.route == "vknown" and self.v_derivs is None:
-            raise ConfigurationError("vknown route needs a table of value-function derivatives")
-
-
 def moment_indices_for(dims, good_tuple):
     """Canonical moment indices with the given good multiset, sorted."""
     choices = [range(1, dims[g - 1] + 1) for g in good_tuple]

@@ -129,11 +129,6 @@ def _inverse_count_factorial(gamma):
     return mult
 
 
-def taylor_v(vmodel, u):
-    """Operation alias: Taylor value difference at index vector u."""
-    return vmodel.value(u)
-
-
 def default_trust_radius(model, beta_dist, x, cap=1.0):
     """Half the largest index magnitude over the support at x, capped."""
     largest = 0.0

@@ -6,6 +6,7 @@ reuse the heavy derivative tables where the criteria allow it; criterion 1
 times its own cold run.
 """
 
+import dataclasses
 import math
 import time
 
@@ -14,6 +15,7 @@ import pytest
 
 from rcpum import (
     AsfEvaluator,
+    BundleModel,
     DiscreteBeta,
     FdScheme,
     LogitModel,
@@ -22,6 +24,7 @@ from rcpum import (
     TaylorVModel,
     UnivariateAtoms,
     VDerivTable,
+    build_report,
     cauchy_schwarz_check,
     derivative_table,
     exponent_moment_ratio,
@@ -30,8 +33,6 @@ from rcpum import (
     recover_moments_scale,
     recover_moments_vknown,
     recover_v_derivatives,
-    symmetry_check,
-    taylor_v,
     true_moment,
 )
 from rcpum import logit
@@ -119,18 +120,42 @@ def test_criterion_04_route_consistency(logit_mixture, logit_mixture_table):
     _ok(4, "route consistency (scale vs v-known)")
 
 
-def test_criterion_05_symmetry(logit_mixture_table, smoothed_bundle_table):
-    _, logit_table = logit_mixture_table
-    _, bundle_table = smoothed_bundle_table
-    for name, table in (("logit", logit_table), ("bundle", bundle_table)):
-        residual, applicable = symmetry_check(table)
-        assert applicable, name
+def _overid(table, beta):
+    """Over-identification residual and dof after scale-route recovery."""
+    moments = {}
+    for m in table.orders:
+        scale = true_moment(beta, MomentIndex(((1, 1),) * m))
+        moments.update(dict(recover_moments_scale(table, m, scale).items()))
+    report = build_report(table, v_derivs=recover_v_derivatives(table, moments))
+    return report.overid_residual, report.overid_dof
+
+
+def test_criterion_05_symmetry(logit_mixture, logit_mixture_table, smoothed_bundle):
+    # The factorization (symmetric in its mixed partials) over-identifies
+    # tables with more than one characteristic per good.
+    dims = (2, 2)
+    beta = DiscreteBeta(
+        dims,
+        [[1.0, 0.5, 1.0, -0.5], [1.0, 1.5, 3.0, 0.5], [2.0, -1.0, 1.0, 1.0]],
+        [0.3, 0.3, 0.4],
+    )
+    models = {
+        "logit": LogitModel(dims=dims, alphas=(0.2, -0.1), outside_good=True),
+        "bundle": BundleModel(dims=dims, scenarios=smoothed_bundle[0].scenarios, smoothing=1.0),
+    }
+    tables = {name: derivative_table(AsfEvaluator(m, beta), 2) for name, m in models.items()}
+    for name, table in tables.items():
+        residual, dof = _overid(table, beta)
+        assert dof > 0, name
         assert residual < 1e-5, name
-    clean = logit_table.value(1, ((1, 1), (2, 1)))
-    corrupted = logit_table.with_entry(1, (1, 2), (1, 1), clean * 1.01)
-    residual, _ = symmetry_check(corrupted)
-    assert residual > 5e-3
-    _ok(5, "symmetry residual and fault detection")
+    clean = tables["logit"]
+    for key, value in clean.entries.items():
+        corrupted = dataclasses.replace(clean, entries={**clean.entries, key: value * 1.01})
+        residual, _ = _overid(corrupted, beta)
+        assert residual > 5e-3, key
+    _, table = logit_mixture_table
+    assert _overid(table, logit_mixture[1])[1] == 0
+    _ok(5, "over-identification residual and fault detection")
 
 
 def test_criterion_06_testable_restriction():
@@ -184,7 +209,7 @@ def test_criterion_07_v_recovery():
 
     for bound, tol in ((0.1, 1e-4), (0.3, 5e-3)):
         worst = max(
-            abs(taylor_v(vmodel, (u1, u2)) - truth((u1, u2)))
+            abs(vmodel.value((u1, u2)) - truth((u1, u2)))
             for u1 in np.linspace(-bound, bound, 7)
             for u2 in np.linspace(-bound, bound, 7)
         )
@@ -193,7 +218,7 @@ def test_criterion_07_v_recovery():
     x_final = np.array([0.1, 0.0])
     via_path = path_integral_v(evaluator, np.zeros(2), x_final)
     assert abs(via_path - truth(x_final)) < 1e-8
-    assert abs(taylor_v(vmodel, x_final) - via_path) < 1e-3
+    assert abs(vmodel.value(x_final) - via_path) < 1e-3
     _ok(7, "value-function recovery (Taylor and path integral)")
 
 

@@ -103,6 +103,7 @@ def test_config_echo_round_trip(tmp_path):
     assert config.route == "independence"
     assert config.max_order == 3
     assert config.abs_mean == 1.0
+    assert config.tau_rel == pytest.approx(1e-7)
 
 
 def test_csv_column_order(tmp_path):
@@ -183,6 +184,63 @@ def test_monte_carlo_misconfiguration_exits_one(tmp_path, name, n_draws, keep_se
     assert proc.returncode == 1
     assert "config error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _set(path, value):
+    def edit(raw):
+        block = raw
+        for key in path[:-1]:
+            block = block.setdefault(key, {})
+        block[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("logit_k2_mixture", _set(("recovery", "scales"), [1.0, 1.0, 1.0])),
+        ("logit_k2_mixture", _set(("recovery", "v_derivs"), [0.25])),
+        ("logit_k2_mixture", _set(("recovery", "scales", "1"), "nan")),
+        ("logit_k2_mixture", _set(("recovery", "scales", "2"), 0.0)),
+        ("logit_k2_mixture", _set(("recovery", "scales"), {"1": 1.0, "2": 1.0})),
+        ("logit_k2_mixture", _set(("recovery", "tau_rel"), "nan")),
+        ("logit_k2_mixture", _set(("recovery", "tau_rel"), -1.0)),
+        ("independence_k2", _set(("recovery", "abs_mean"), 0.0)),
+        ("bundle_k2_smoothed", _set(("recovery", "route"), "vknown")),
+        ("logit_k2_mixture", _set(("welfare", "points"), [["a", 0.1]])),
+        ("logit_k2_mixture", _set(("welfare", "points"), [[0.1]])),
+        ("logit_k2_mixture", _set(("welfare", "path_segments"), [[[0.0, 0.0]]])),
+        ("logit_k2_mixture", _set(("welfare", "path_segments"), [[[0.0, 0.0], [0.1]]])),
+        ("logit_k2_mixture", _set(("diagnostics",), {"cauchy_schwarz": True})),
+    ],
+    ids=[
+        "scales_list",
+        "v_derivs_list",
+        "scale_nan",
+        "scale_zero",
+        "scale_missing",
+        "tau_rel_nan",
+        "tau_rel_negative",
+        "abs_mean_zero",
+        "vknown_without_v_derivs",
+        "welfare_point_non_numeric",
+        "welfare_point_wrong_length",
+        "path_segment_one_vector",
+        "path_segment_wrong_length",
+        "diagnostics_block",
+    ],
+)
+def test_invalid_config_exits_one(tmp_path, capsys, name, edit):
+    raw = json.loads(bundled(name).read_text())
+    edit(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_resolve_config_path_passthrough(tmp_path):

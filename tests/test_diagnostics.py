@@ -12,7 +12,6 @@ from rcpum import (
     complementarity_signs,
     derivative_table,
     sign_first_moment,
-    symmetry_check,
 )
 
 DIMS = (1, 1)
@@ -42,29 +41,6 @@ def test_cauchy_schwarz_never_below_one():
         w = np.full(3, 1 / 3)
         table = table_for(pts.tolist(), w.tolist(), alphas=tuple(rng.uniform(-1, 1, 2)))
         assert cauchy_schwarz_check(table) >= 1.0 - 1e-8
-
-
-def test_symmetry_clean_table(logit_mixture_table):
-    _, table = logit_mixture_table
-    residual, applicable = symmetry_check(table)
-    assert applicable
-    assert residual < 1e-6
-
-
-def test_symmetry_vacuous_at_order_one(logit_mixture):
-    model, beta = logit_mixture
-    table = derivative_table(AsfEvaluator(model, beta), 1)
-    residual, applicable = symmetry_check(table)
-    assert residual == 0.0
-    assert not applicable
-
-
-def test_symmetry_detects_injected_fault(logit_mixture_table):
-    _, table = logit_mixture_table
-    v = table.value(1, ((1, 1), (2, 1)))
-    corrupted = table.with_entry(1, (1, 2), (1, 1), -v)
-    residual, _ = symmetry_check(corrupted)
-    assert residual > 0.5
 
 
 def test_sign_first_moment_positive(logit_mixture_table):
@@ -106,3 +82,19 @@ def test_cauchy_schwarz_needs_two_goods():
     table = derivative_table(AsfEvaluator(model, beta), 2)
     with pytest.raises(ConfigurationError):
         cauchy_schwarz_check(table)
+
+
+def test_build_report_overid_dof(logit_mixture_table):
+    _, table = logit_mixture_table
+    v = VDerivTable({(1, 1): 0.25, (1, 2): -0.25, (2, 2): 0.25})
+    assert build_report(table, v_derivs=v).overid_dof == 0
+    assert build_report(table).overid_residual is None
+    dims = (2, 2)
+    model = LogitModel(dims=dims, alphas=(0.2, -0.1), outside_good=True)
+    beta = DiscreteBeta(dims, [[1.0, 0.5, 1.0, -0.5], [1.0, 1.5, 3.0, 0.5]], [0.5, 0.5])
+    wide = derivative_table(AsfEvaluator(model, beta), 2)
+    # per recovered order m (read off the partials' lengths m + 1):
+    # K*C(D+m-1, m) entries - C(K+m, m+1) partials - C(D+m-1, m) moments + 1
+    assert build_report(wide, v_derivs=v).overid_dof == 8 - 3 - 4 + 1
+    v3 = VDerivTable({**v.entries, (1, 1, 1): 0.1})
+    assert build_report(wide, v_derivs=v3).overid_dof == (8 - 3 - 4 + 1) + (20 - 4 - 10 + 1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -203,9 +205,20 @@ def test_derivative_table_entry_counts(logit_mixture_table):
     assert table.orders == (1, 2, 3)
     assert len(list(table.classes(1))) == 4
     assert len(list(table.classes(2))) == 6
-    # ordered storage keeps every differentiation sequence
+    # one entry per derivative, not one per differentiation ordering
     order2_keys = [key for key in table.entries if len(key[1]) == 2]
-    assert len(order2_keys) == 8
+    assert len(order2_keys) == 6
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2), (1, 1, 1)], ids=str)
+def test_derivative_table_stores_each_derivative_once(dims):
+    n_goods, n_vars = len(dims), sum(dims)
+    model = LogitModel(dims=dims, alphas=(0.0,) * n_goods, outside_good=True)
+    beta = DiscreteBeta(dims, [[1.0] * n_vars], [1.0])
+    table = derivative_table(AsfEvaluator(model, beta), 3)
+    want = n_goods * sum(math.comb(n_vars + m - 1, m) for m in (1, 2, 3))
+    assert len(table.entries) == want
+    assert len(list(table.classes())) == want
 
 
 def test_derivative_table_eq3_entries_present(logit_mixture_table):
@@ -243,12 +256,3 @@ def test_linearity_in_mixture_weights():
     for k, idx, val in tm.classes():
         combo = w * t1.value(k, idx.pairs) + (1 - w) * t2.value(k, idx.pairs)
         assert val == pytest.approx(combo, abs=1e-9)
-
-
-def test_with_entry_replaces_single_ordered_key(logit_mixture_table):
-    _, table = logit_mixture_table
-    v = table.value(1, ((1, 1), (2, 1)))
-    bad = table.with_entry(1, (1, 2), (1, 1), v * 2)
-    assert bad.entries[(1, (1, 2), (1, 1))] == v * 2
-    assert bad.entries[(1, (2, 1), (1, 1))] == v
-    assert table.entries[(1, (1, 2), (1, 1))] == v

@@ -26,7 +26,6 @@ from rcpum import (
     true_moment,
 )
 from rcpum import logit
-from rcpum.recovery import RecoveryConfig
 
 DIMS = (1, 1)
 
@@ -406,14 +405,3 @@ def test_recovery_at_nonzero_center():
         mt = recover_moments_scale(table, order, 1.0)
         for idx, v in mt.items():
             assert v == pytest.approx(true_moment(beta, idx), rel=1e-5)
-
-
-def test_recovery_config_validation():
-    with pytest.raises(ConfigurationError):
-        RecoveryConfig(route="scale", max_order=2, scales={1: 1.0})
-    with pytest.raises(ConfigurationError):
-        RecoveryConfig(route="independence", max_order=1, abs_mean=0.0)
-    with pytest.raises(ConfigurationError):
-        RecoveryConfig(route="vknown", max_order=1)
-    cfg = RecoveryConfig(route="scale", max_order=2, scales={1: 1.0, 2: 1.0})
-    assert cfg.tau_rel == pytest.approx(1e-7)

@@ -21,7 +21,6 @@ from rcpum import (
     quantile_match_vprime,
     recover_moments_scale,
     recover_v_derivatives,
-    taylor_v,
 )
 
 DIMS = (1, 1)
@@ -55,27 +54,27 @@ def test_taylor_matches_closed_form_small_box(recovered_taylor):
     _, _, _, vmodel = recovered_taylor
     for u1 in np.linspace(-0.1, 0.1, 5):
         for u2 in np.linspace(-0.1, 0.1, 5):
-            assert taylor_v(vmodel, (u1, u2)) == pytest.approx(
+            assert vmodel.value((u1, u2)) == pytest.approx(
                 closed_form((u1, u2)), abs=1e-4
             )
 
 
 def test_taylor_zero_at_center(recovered_taylor):
     _, _, _, vmodel = recovered_taylor
-    assert taylor_v(vmodel, (0.0, 0.0)) == 0.0
+    assert vmodel.value((0.0, 0.0)) == 0.0
 
 
 def test_taylor_exchange_symmetry(recovered_taylor):
     _, _, _, vmodel = recovered_taylor
-    assert taylor_v(vmodel, (0.08, 0.02)) == pytest.approx(
-        taylor_v(vmodel, (0.02, 0.08)), abs=1e-12
+    assert vmodel.value((0.08, 0.02)) == pytest.approx(
+        vmodel.value((0.02, 0.08)), abs=1e-12
     )
 
 
 def test_taylor_warns_outside_trust_radius(recovered_taylor):
     _, _, _, vmodel = recovered_taylor
     with pytest.warns(ExtrapolationWarning):
-        taylor_v(vmodel, (0.9, 0.0))
+        vmodel.value((0.9, 0.0))
 
 
 def test_taylor_gradient_consistency(recovered_taylor):
@@ -113,8 +112,8 @@ def test_taylor_with_supplied_derivatives_no_outside_good():
     tables = {o: VDerivTable({g: v for g, v in entries.items() if len(g) == o}) for o in (2, 3)}
     vmodel = TaylorVModel(gradient=np.array([0.5, 0.5]), tables=tables, trust_radius=0.35)
     truth = math.log((math.exp(0.1) + 1.0) / 2.0)
-    assert taylor_v(vmodel, (0.1, 0.0)) == pytest.approx(truth, abs=1e-4)
-    assert taylor_v(vmodel, (0.1, 0.0)) == pytest.approx(taylor_v(vmodel, (0.0, 0.1)), abs=1e-15)
+    assert vmodel.value((0.1, 0.0)) == pytest.approx(truth, abs=1e-4)
+    assert vmodel.value((0.1, 0.0)) == pytest.approx(vmodel.value((0.0, 0.1)), abs=1e-15)
 
 
 def test_path_integral_closed_form():
@@ -166,7 +165,7 @@ def test_path_integral_agrees_with_taylor(recovered_taylor):
     _, _, evaluator, vmodel = recovered_taylor
     xf = np.array([0.1, 0.05])
     via_path = path_integral_v(evaluator, np.zeros(2), xf)
-    assert taylor_v(vmodel, xf) == pytest.approx(via_path, abs=1e-3)
+    assert vmodel.value(xf) == pytest.approx(via_path, abs=1e-3)
 
 
 def test_average_indirect_utility_zero_at_center(recovered_taylor):
