@@ -12,7 +12,8 @@ coefficient support at once:
     P = softmax((U + D) / sigma) or argmax mask of U + D   (per scenario)
     ybar = sum_t w_t P_t @ Y
 
-so the ASF makes one kernel call per covariate point.  Exact evaluation is
+so the ASF makes one kernel call per batch of uncached covariate points
+(``asf_batch`` takes a whole stencil at once).  Exact evaluation is
 what the identification path uses.  A seeded Monte-Carlo fallback over
 disturbance scenarios exists behind the same interface but nothing in the
 acceptance path consumes randomness.
@@ -25,6 +26,7 @@ import threading
 
 import numpy as np
 
+from .distributions import support_arrays
 from .exceptions import ConfigurationError
 from .models import BundleModel, TabulatedModel
 
@@ -47,6 +49,8 @@ def ybar_given_beta(model, x, beta):
 
     ``beta`` is one coefficient vector, giving shape (K,), or an (S,
     total_dim) matrix of them, giving one demand row per coefficient vector.
+    An (n, total_dim) covariate matrix against such a support gives (n, S,
+    K).
     """
     p = _scenario_choices(model, x, beta)
     return np.einsum("t,...tb,bk->...k", model.kernel.w, p, model.kernel.Y)
@@ -57,6 +61,8 @@ class AsfEvaluator:
 
     Evaluations are deterministic and cached; the cache is insert-only and
     guarded by a lock so concurrent readers see consistent values.
+    ``points_evaluated`` counts the cache misses evaluated and
+    ``kernel_calls`` the kernel calls that evaluated them.
     """
 
     def __init__(self, model, beta_dist, strategy="exact", n_draws=0, seed=None):
@@ -76,11 +82,11 @@ class AsfEvaluator:
         self.strategy = strategy
         self.n_draws = n_draws
         self.seed = seed
-        support = list(beta_dist.support())
-        self._weights = np.array([w for w, _ in support], dtype=float)
-        self._points = np.array([b for _, b in support], dtype=float)
+        self._weights, self._points = support_arrays(beta_dist)
         self._cache = {}
         self._lock = threading.Lock()
+        self.points_evaluated = 0
+        self.kernel_calls = 0
 
     @property
     def center(self):
@@ -92,16 +98,15 @@ class AsfEvaluator:
         return ybar_given_beta(self.model, x, beta)
 
     def _monte_carlo_ybar(self, x, beta):
-        # Scenario draws are re-seeded per coefficient vector (stable digest,
-        # not the salted builtin hash) so results depend on neither
-        # evaluation order nor the process.  The mean over drawn rows of D
-        # weights each scenario by its share of the draws.
-        x = np.asarray(x, dtype=float)
-        beta = np.asarray(beta, dtype=float)
+        # Scenario draws are re-seeded per (covariate, coefficient) pair
+        # (stable digest, not the salted builtin hash) so results depend on
+        # neither evaluation order, batching nor the process.  The mean over
+        # drawn rows of D weights each scenario by its share of the draws.
+        xs, bs = np.broadcast_arrays(*self.model._check_shapes(x, beta))
         w = self.model.kernel.w
-        shares = np.empty(beta.shape[:-1] + w.shape)
-        for i in np.ndindex(beta.shape[:-1]):
-            digest = hashlib.blake2s(x.tobytes() + beta[i].tobytes()).digest()
+        shares = np.empty(xs.shape[:-1] + w.shape)
+        for i in np.ndindex(xs.shape[:-1]):
+            digest = hashlib.blake2s(xs[i].tobytes() + bs[i].tobytes()).digest()
             point_key = int.from_bytes(digest[:8], "little")
             rng = np.random.default_rng((self.seed, point_key))
             draws = rng.choice(len(w), size=self.n_draws, p=w)
@@ -109,16 +114,35 @@ class AsfEvaluator:
         p = _scenario_choices(self.model, x, beta)
         return np.einsum("...t,...tb,bk->...k", shares, p, self.model.kernel.Y)
 
+    def _rows(self, X):
+        """Cached ASF row of every row of X; the distinct misses are
+        evaluated in one kernel call."""
+        keys = [row.tobytes() for row in X]
+        with self._lock:
+            rows = [self._cache.get(key) for key in keys]
+        misses = {}
+        for i, (key, row) in enumerate(zip(keys, rows)):
+            if row is None:
+                misses.setdefault(key, i)
+        if not misses:
+            return rows
+        values = self._weights @ self.ybar_given_beta(X[list(misses.values())], self._points)
+        values.setflags(write=False)
+        with self._lock:
+            self.points_evaluated += len(misses)
+            self.kernel_calls += 1
+            fresh = {key: self._cache.setdefault(key, v) for key, v in zip(misses, values)}
+        return [fresh[key] if row is None else row for key, row in zip(keys, rows)]
+
     def asf(self, x):
         """Average structural function: mean demand over the full mixture."""
         x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._weights @ self.ybar_given_beta(x, self._points)
-        out.setflags(write=False)
-        with self._lock:
-            self._cache.setdefault(key, out)
-        return out
+        return self._rows(x[None])[0]
+
+    def asf_batch(self, X):
+        """The ASF at every row of an (n, total_dim) covariate matrix, as an
+        (n, K) array; rows equal ``asf`` of the same point bitwise."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ConfigurationError("asf_batch takes a matrix with one covariate point per row")
+        return np.array(self._rows(X))

@@ -10,6 +10,7 @@ config and seed; wall-clock metadata goes to a separate file.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -44,7 +45,13 @@ from .recovery import (
     recover_moments_vknown,
     recover_v_derivatives,
 )
-from .welfare import TaylorVModel, average_indirect_utility, default_trust_radius, path_integral_v
+from .welfare import (
+    WEIGHTINGS,
+    TaylorVModel,
+    average_indirect_utility,
+    default_trust_radius,
+    path_integral_v,
+)
 
 _RUN_FAILURES = (
     RelevanceError,
@@ -201,10 +208,13 @@ def _parse_welfare(block, n):
         if not isinstance(seg, (list, tuple)) or len(seg) != 2:
             raise ConfigurationError("welfare.path_segments[] must be a pair of vectors")
         segments.append(tuple(_covariates(x, n, "welfare.path_segments[][]") for x in seg))
+    weighting = block.get("weighting", "unweighted")
+    if weighting not in WEIGHTINGS:
+        raise ConfigurationError(f"welfare.weighting must be one of {list(WEIGHTINGS)}")
     radius = block.get("trust_radius")
     return {
         "points": [_covariates(x, n, "welfare.points[]") for x in block.get("points", [])],
-        "weighting": block.get("weighting", "unweighted"),
+        "weighting": weighting,
         "trust_radius": None if radius is None else float(radius),
         "path_segments": segments,
     }
@@ -323,9 +333,10 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(str(c) for c in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _moment_rows(table, beta):
@@ -458,6 +469,9 @@ def run(config_path, out_dir, seed=None, max_order=None, scheme=None, route=None
     meta = {
         "started_unix": started,
         "elapsed_seconds": time.time() - started,
+        "asf_points": evaluator.points_evaluated,
+        "asf_batches": evaluator.kernel_calls,
+        "stencil_nodes": 0 if table is None else table.stencil_nodes,
     }
     (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
     return 2 if failure is not None else 0

@@ -177,6 +177,15 @@ class ProductBeta:
         return out
 
 
+def support_arrays(dist):
+    """Support weights (S,) and coefficient vectors (S, total_dim) as arrays."""
+    support = list(dist.support())
+    return (
+        np.array([w for w, _ in support], dtype=float),
+        np.array([b for _, b in support], dtype=float),
+    )
+
+
 def true_moment(dist, idx: MomentIndex) -> float:
     """Exact moment of the coefficient product named by ``idx``."""
     return dist.moment(idx)

@@ -110,21 +110,27 @@ class ModelSpec:
         object.__setattr__(self, "kernel", FiniteBudgetKernel(G, Y, D, w, sigma))
 
     def _check_shapes(self, x, beta):
+        """Covariates and coefficients as arrays that broadcast against each
+        other: an (n, total_dim) covariate matrix against an (S, total_dim)
+        support is lifted to (n, 1, total_dim)."""
         x = np.asarray(x, dtype=float)
         beta = np.asarray(beta, dtype=float)
-        if x.shape != (self.total_dim,) or beta.ndim not in (1, 2) or (
-            beta.shape[-1] != self.total_dim
+        if x.ndim not in (1, 2) or beta.ndim not in (1, 2) or (
+            x.shape[-1] != self.total_dim or beta.shape[-1] != self.total_dim
         ):
             raise ConfigurationError(
                 f"covariate/coefficient vectors must have length {self.total_dim}"
             )
+        if x.ndim == 2 and beta.ndim == 2:
+            x = x[:, None, :]
         return x, beta
 
     def indices(self, x, beta):
         """Utility index of each good: beta_k' (x_k - c_k).
 
-        ``beta`` is one coefficient vector, or a matrix with one per row,
-        which gives one row of indices per coefficient vector.
+        ``x`` and ``beta`` are one vector each, or a matrix with one per row.
+        A covariate matrix against a coefficient matrix gives shape (n, S,
+        K): one row of indices per covariate point and coefficient vector.
         """
         x, beta = self._check_shapes(x, beta)
         return ((x - self.center) * beta) @ self.kernel.G

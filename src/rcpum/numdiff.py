@@ -7,10 +7,15 @@ corresponding higher derivative order.  Central stencils have base accuracy
 order 2, forward (one-sided) stencils order 1; Richardson extrapolation
 raises either as configured.  Forward stencils keep every node in the
 nonnegative orthant, for models identified only there.
+
+Each derivative class is estimated for every good at once: the nodes of all
+Richardson levels go to the ASF in one ``asf_batch`` call, and the stencil
+weights contract the (nodes, K) values into one vector per level.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -78,8 +83,9 @@ def fd_weights(offsets, order):
     return np.linalg.solve(rows, rhs)
 
 
+@functools.cache
 def stencil(kind, order):
-    """Integer offsets and weights for one variable.
+    """Integer offsets and read-only weights for one variable.
 
     Central stencils are the smallest symmetric ones (accuracy 2); forward
     stencils are the minimal one-sided ones (accuracy 1), relying on the
@@ -90,7 +96,24 @@ def stencil(kind, order):
         offsets = tuple(range(-half, half + 1))
     else:
         offsets = tuple(range(0, order + 1))
-    return offsets, fd_weights(offsets, order)
+    weights = fd_weights(offsets, order)
+    weights.setflags(write=False)
+    return offsets, weights
+
+
+@functools.cache
+def _tensor_stencil(kind, orders):
+    """Tensor product of the one-variable stencils of the given orders:
+    integer offsets (nodes x variables) and weights, zero-weight nodes
+    dropped."""
+    per_var = [stencil(kind, r) for r in orders]
+    offsets = np.array(list(itertools.product(*[offs for offs, _ in per_var])), dtype=float)
+    weights = np.array([math.prod(w) for w in itertools.product(*[w for _, w in per_var])])
+    keep = weights != 0.0
+    offsets, weights = offsets[keep], weights[keep]
+    offsets.setflags(write=False)
+    weights.setflags(write=False)
+    return offsets, weights
 
 
 def _variable_powers(dims, pairs):
@@ -102,28 +125,35 @@ def _variable_powers(dims, pairs):
     return dict(sorted(powers.items()))
 
 
-def _tensor_estimate(evaluator, component, powers, h, kind):
+def _require_scheme_fits_domain(evaluator, scheme):
+    if evaluator.model.nonnegative_domain and scheme.kind != "forward":
+        raise ConfigurationError("nonnegative-orthant models require the forward scheme")
+
+
+def _class_estimate(evaluator, powers, scheme):
+    """Richardson-extrapolated estimate of one mixed partial of every
+    good's mean demand, shape (K,), and the number of stencil nodes used."""
+    offsets, weights = _tensor_stencil(scheme.kind, tuple(powers.values()))
+    order = sum(powers.values())
+    steps = scheme.step_for(order) / 2.0 ** np.arange(scheme.levels + 1)
     center = np.asarray(evaluator.center, dtype=float)
-    per_var = [(pos, *stencil(kind, r)) for pos, r in powers.items()]
-    total_order = sum(powers.values())
-    acc = 0.0
-    for combo in itertools.product(*[range(len(offs)) for _, offs, _ in per_var]):
-        x = center.copy()
-        w = 1.0
-        for (pos, offs, wts), i in zip(per_var, combo):
-            x[pos] += offs[i] * h
-            w *= wts[i]
-        if w == 0.0:
-            continue
-        val = evaluator.asf(x)[component - 1]
-        if not np.isfinite(val):
-            raise EvaluationError(f"non-finite demand at stencil node {x.tolist()}", point=x)
-        acc += w * val
-    return acc / h**total_order
+    nodes = np.repeat(center[None], len(steps) * len(offsets), axis=0)
+    nodes[:, list(powers)] += (steps[:, None, None] * offsets).reshape(-1, len(powers))
+    values = evaluator.asf_batch(nodes)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        x = nodes[np.argmin(finite)]
+        raise EvaluationError(f"non-finite demand at stencil node {x.tolist()}", point=x)
+    levels = weights @ values.reshape(len(steps), len(offsets), -1) / steps[:, None] ** order
+    return richardson(levels, scheme.base_accuracy, scheme.accuracy_stride), len(nodes)
 
 
 def richardson(values, base_order, stride):
-    """Extrapolate estimates at steps h, h/2, ..., h/2^L to higher order."""
+    """Extrapolate estimates at steps h, h/2, ..., h/2^L to higher order.
+
+    Each estimate may be a scalar or an array of estimates extrapolated
+    elementwise.
+    """
     col = list(values)
     power = base_order
     while len(col) > 1:
@@ -146,15 +176,9 @@ def mixed_partial(evaluator, good, pairs, scheme=None):
     dims = evaluator.model.dims
     if not 1 <= good <= len(dims):
         raise ConfigurationError(f"good index {good} outside 1..{len(dims)}")
-    if evaluator.model.nonnegative_domain and scheme.kind != "forward":
-        raise ConfigurationError("nonnegative-orthant models require the forward scheme")
-    powers = _variable_powers(dims, pairs)
-    h0 = scheme.step_for(len(pairs))
-    estimates = [
-        _tensor_estimate(evaluator, good, powers, h0 / 2**lvl, scheme.kind)
-        for lvl in range(scheme.levels + 1)
-    ]
-    return richardson(estimates, scheme.base_accuracy, scheme.accuracy_stride)
+    _require_scheme_fits_domain(evaluator, scheme)
+    estimate, _ = _class_estimate(evaluator, _variable_powers(dims, pairs), scheme)
+    return estimate[good - 1]
 
 
 @dataclass(frozen=True)
@@ -163,6 +187,7 @@ class DerivativeTable:
 
     Mixed partials are symmetric, so each derivative is stored once, keyed
     by (component good, sorted tuple of (good, characteristic) pairs).
+    ``stencil_nodes`` counts the ASF nodes the estimates requested.
     """
 
     dims: tuple[int, ...]
@@ -170,6 +195,7 @@ class DerivativeTable:
     center: tuple[float, ...]
     scheme: FdScheme
     entries: dict
+    stencil_nodes: int
 
     def value(self, good, pairs):
         """Lookup by (good, characteristic) pairs in any order."""
@@ -190,21 +216,27 @@ class DerivativeTable:
 
 
 def derivative_table(evaluator, max_order, scheme=None):
-    """Estimate every mixed partial of orders 1..max_order, once each."""
+    """Estimate every mixed partial of orders 1..max_order, once each; one
+    stencil serves every good's entry of a derivative class."""
     scheme = scheme or FdScheme()
     if max_order < 1:
         raise ConfigurationError("max_order must be >= 1")
+    _require_scheme_fits_domain(evaluator, scheme)
     dims = evaluator.model.dims
     all_pairs = [(g + 1, c + 1) for g, d in enumerate(dims) for c in range(d)]
     entries = {}
+    n_nodes = 0
     for order in range(1, max_order + 1):
         for combo in itertools.combinations_with_replacement(all_pairs, order):
+            estimate, used = _class_estimate(evaluator, _variable_powers(dims, combo), scheme)
+            n_nodes += used
             for k in range(1, len(dims) + 1):
-                entries[(k, combo)] = mixed_partial(evaluator, k, combo, scheme)
+                entries[(k, combo)] = estimate[k - 1]
     return DerivativeTable(
         dims=dims,
         max_order=max_order,
         center=tuple(float(v) for v in evaluator.center),
         scheme=scheme,
         entries=entries,
+        stencil_nodes=n_nodes,
     )

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import flat_offsets, flat_position
+from .distributions import flat_offsets, flat_position, support_arrays
 from .exceptions import ConfigurationError, ExtrapolationWarning, PreconditionError, WeightingError
 
 PATH_NODES = 32
+WEIGHTINGS = ("unweighted", "inverse_abs_beta11")
 _UNIT_COEF_TOL = 1e-12
 
 
@@ -28,8 +29,10 @@ class TaylorVModel:
 
     ``gradient`` holds the first-order coefficients (mean demand at the
     center); ``tables`` maps derivative order (>= 2) to a VDerivTable.  The
-    additive constant is fixed by V(center) = 0.  Construction probes axis
-    and diagonal segments for numerical convexity.
+    additive constant is fixed by V(center) = 0.  Construction compiles the
+    polynomial to an exponent matrix (one row of per-good powers per term)
+    and multinomial-weighted coefficients, then probes axis and diagonal
+    segments for numerical convexity.
     """
 
     gradient: np.ndarray
@@ -41,14 +44,25 @@ class TaylorVModel:
         g.setflags(write=False)
         object.__setattr__(self, "gradient", g)
         object.__setattr__(self, "tables", dict(self.tables))
-        for order, tab in self.tables.items():
+        terms = []
+        for order, tab in sorted(self.tables.items()):
             for gamma, v in tab.items():
                 if len(gamma) != order:
                     raise ConfigurationError(
                         f"table at order {order} holds a key of length {len(gamma)}"
                     )
+                if not all(1 <= k <= self.n_goods for k in gamma):
+                    raise ConfigurationError(
+                        f"Taylor term {gamma} names a good outside 1..{self.n_goods}"
+                    )
                 if not np.isfinite(v):
                     raise ConfigurationError(f"non-finite Taylor coefficient at {gamma}")
+                terms.append((gamma, v))
+        goods = range(1, self.n_goods + 1)
+        exponents = np.array([[gamma.count(k) for k in goods] for gamma, _ in terms], dtype=int)
+        coefs = np.array([v * _inverse_count_factorial(gamma) for gamma, v in terms], dtype=float)
+        object.__setattr__(self, "_exponents", exponents.reshape(len(terms), self.n_goods))
+        object.__setattr__(self, "_coefs", coefs)
         self._check_convexity()
 
     @property
@@ -57,56 +71,53 @@ class TaylorVModel:
 
     def _check_convexity(self, tol=1e-6):
         k = self.n_goods
-        directions = [np.eye(k)[i] for i in range(k)]
+        eye = np.eye(k)
+        directions = [eye[i] for i in range(k)]
         directions += [
-            (np.eye(k)[i] + s * np.eye(k)[j]) / math.sqrt(2)
+            (eye[i] + s * eye[j]) / math.sqrt(2)
             for i in range(k)
             for j in range(i + 1, k)
             for s in (1.0, -1.0)
         ]
+        directions = np.array(directions)
         r = self.trust_radius
-        for d in directions:
-            for t in np.linspace(-0.8 * r, 0.8 * r, 5):
-                step = 0.1 * r
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", ExtrapolationWarning)
-                    second = (
-                        self.value(d * (t + step)) - 2 * self.value(d * t) + self.value(d * (t - step))
-                    ) / step**2
-                if second < -tol:
-                    raise ConfigurationError(
-                        f"Taylor model is non-convex along {d} at t={t:.3f} (second diff {second:.2e})"
-                    )
+        ts = np.linspace(-0.8 * r, 0.8 * r, 5)
+        step = 0.1 * r
 
-    def _warn_if_outside(self, u):
-        if np.max(np.abs(u)) > self.trust_radius:
-            warnings.warn(
-                f"index point {np.round(u, 6).tolist()} lies outside the trust radius "
-                f"{self.trust_radius}; extrapolated value",
-                ExtrapolationWarning,
-                stacklevel=3,
+        def along(shift):
+            return self.values((directions[:, None, :] * (ts + shift)[:, None]).reshape(-1, k))
+
+        second = (along(step) - 2 * along(0.0) + along(-step)) / step**2
+        second = second.reshape(len(directions), len(ts))
+        bad = np.argwhere(second < -tol)
+        if len(bad):
+            i, j = bad[0]
+            raise ConfigurationError(
+                f"Taylor model is non-convex along {directions[i]} at t={ts[j]:.3f} "
+                f"(second diff {second[i, j]:.2e})"
             )
 
+    def values(self, U):
+        """V(u) - V(center-index point) at every row of an (n, K) matrix of
+        index points, by the symmetric Taylor sum; no trust-radius check."""
+        U = np.asarray(U, dtype=float)
+        if U.ndim != 2 or U.shape[1] != self.n_goods:
+            raise ConfigurationError(f"index vectors must have length {self.n_goods}")
+        monomials = np.prod(U[:, None, :] ** self._exponents, axis=-1)
+        return U @ self.gradient + monomials @ self._coefs
+
     def value(self, u):
-        """V(u) - V(center-index point), by the symmetric Taylor sum."""
+        """V(u) - V(center-index point), warning outside the trust radius."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.n_goods,):
             raise ConfigurationError(f"index vector must have length {self.n_goods}")
-        self._warn_if_outside(u)
-        total = float(np.dot(self.gradient, u))
-        for order in sorted(self.tables):
-            for gamma, coef in self.tables[order].items():
-                mult = _inverse_count_factorial(gamma)
-                term = coef * mult
-                for g in gamma:
-                    term *= u[g - 1]
-                total += term
-        return total
+        _warn_outside(u[None], self.trust_radius)
+        return float(self.values(u[None])[0])
 
     def gradient_at(self, u):
         """Gradient of the Taylor polynomial (mean demand at index u)."""
         u = np.asarray(u, dtype=float)
-        self._warn_if_outside(u)
+        _warn_outside(u[None], self.trust_radius)
         out = self.gradient.astype(float).copy()
         for order in sorted(self.tables):
             for gamma, coef in self.tables[order].items():
@@ -121,6 +132,18 @@ class TaylorVModel:
         return out
 
 
+def _warn_outside(U, trust_radius):
+    """One ExtrapolationWarning per row of U beyond the trust radius,
+    attributed to the caller of the public function."""
+    for u in U[np.max(np.abs(U), axis=1) > trust_radius]:
+        warnings.warn(
+            f"index point {np.round(u, 6).tolist()} lies outside the trust radius "
+            f"{trust_radius}; extrapolated value",
+            ExtrapolationWarning,
+            stacklevel=3,
+        )
+
+
 def _inverse_count_factorial(gamma):
     """1 / prod(count!) over repeated entries: the multinomial Taylor weight."""
     mult = 1.0
@@ -131,9 +154,8 @@ def _inverse_count_factorial(gamma):
 
 def default_trust_radius(model, beta_dist, x, cap=1.0):
     """Half the largest index magnitude over the support at x, capped."""
-    largest = 0.0
-    for _, beta in beta_dist.support():
-        largest = max(largest, float(np.max(np.abs(model.indices(x, beta)))))
+    _, betas = support_arrays(beta_dist)
+    largest = float(np.max(np.abs(model.indices(x, betas))))
     return min(cap, 0.5 * largest) if largest > 0 else cap
 
 
@@ -204,25 +226,24 @@ def average_indirect_utility(vmodel, model, beta_dist, x, weighting="unweighted"
 
     ``weighting="inverse_abs_beta11"`` divides each support point's value by
     the magnitude of its first coefficient, fixing the conversion rate of the
-    first characteristic to one util.
+    first characteristic to one util.  The whole support is evaluated in one
+    ``vmodel.values`` call; each index point beyond ``vmodel.trust_radius``
+    raises an ExtrapolationWarning.
     """
-    if weighting not in ("unweighted", "inverse_abs_beta11"):
+    if weighting not in WEIGHTINGS:
         raise ConfigurationError(f"unknown weighting {weighting!r}")
-    pos11 = flat_position(model.dims, 1, 1)
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for w, beta in beta_dist.support():
-        u = model.indices(x, beta)
-        scale = 1.0
-        if weighting == "inverse_abs_beta11":
-            if abs(beta[pos11]) < _UNIT_COEF_TOL:
-                raise WeightingError(
-                    "inverse-magnitude weighting undefined: a support point has a zero "
-                    "coefficient on the first characteristic of good 1"
-                )
-            scale = 1.0 / abs(beta[pos11])
-        total += w * scale * vmodel.value(u)
-    return total
+    weights, betas = support_arrays(beta_dist)
+    if weighting == "inverse_abs_beta11":
+        first = np.abs(betas[:, flat_position(model.dims, 1, 1)])
+        if np.any(first < _UNIT_COEF_TOL):
+            raise WeightingError(
+                "inverse-magnitude weighting undefined: a support point has a zero "
+                "coefficient on the first characteristic of good 1"
+            )
+        weights = weights * (1.0 / first)
+    U = model.indices(np.asarray(x, dtype=float), betas)
+    _warn_outside(U, vmodel.trust_radius)
+    return float(weights @ vmodel.values(U))
 
 
 def counterfactual_demand(source, model, beta_dist, x):

@@ -384,3 +384,56 @@ def test_bundle_disturbances_compiled_once(monkeypatch):
     for i in range(1, 20):
         evaluator.asf(np.array([0.01 * i, -0.02 * i]))
     assert len(calls) == compiled
+
+
+def _batch_models():
+    smoothed = BundleModel(
+        dims=(1, 2),
+        scenarios=(
+            BundleScenario(0.6, (0.5, -0.3), ((1, 2, 0.4),)),
+            BundleScenario(0.4, (-0.2, 0.1), (), frozenset({(0.0, 0.0), (1.0, 1.0)})),
+        ),
+        smoothing=0.7,
+    )
+    hard = BundleModel(
+        dims=(1, 2),
+        scenarios=(
+            BundleScenario(0.5, (0.25, -0.5), ((1, 2, 0.5),)),
+            BundleScenario(0.5, (0.0, 0.0)),
+        ),
+    )
+    power = LogitModel(
+        dims=(1, 1, 1), alphas=(0.2, 0.0, -0.4), index_form="power", center=np.ones(3)
+    )
+    return {
+        "logit_linear": (LogitModel(dims=(2, 1), alphas=(0.1, -0.3), outside_good=True), {}),
+        "logit_power": (power, {}),
+        "smoothed_bundle": (smoothed, {}),
+        "hard_argmax_bundle": (hard, {}),
+        "monte_carlo": (hard, dict(strategy="monte_carlo", n_draws=16, seed=5)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_batch_models()))
+def test_asf_batch_equals_stacked_asf_rows(case):
+    model, options = _batch_models()[case]
+    support = [[1.0, 1.0, 0.5], [2.0, -1.0, 0.25], [0.5, 3.0, 1.0]]
+    beta = DiscreteBeta(model.dims, support, [0.5, 0.25, 0.25])
+    rng = np.random.default_rng(3)
+    X = model.center + rng.uniform(-0.2, 0.2, size=(9, model.total_dim))
+    X = np.vstack([X, X[2], model.center])  # a repeated row and the center
+    batched = AsfEvaluator(model, beta, **options)
+    got = batched.asf_batch(X)
+    single = AsfEvaluator(model, beta, **options)
+    want = np.array([single.asf(x) for x in X])
+    assert got.shape == (len(X), model.n_goods)
+    assert np.array_equal(got, want)
+    # the distinct misses went through one kernel call
+    assert (batched.points_evaluated, batched.kernel_calls) == (len(X) - 1, 1)
+    # a later batch reads the cache and evaluates only its new rows
+    extra = model.center + 0.05
+    again = batched.asf_batch(np.vstack([X[:3], extra]))
+    assert np.array_equal(again[:3], got[:3])
+    assert np.array_equal(again[3], single.asf(extra))
+    assert (batched.points_evaluated, batched.kernel_calls) == (len(X), 2)
+    assert batched.asf(X[4]) is batched.asf(X[4].copy())

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -93,6 +94,26 @@ def test_reports_are_deterministic(tmp_path):
         run(bundled(name), tmp_path / f"{name}_a", seed=0)
         run(bundled(name), tmp_path / f"{name}_b", seed=0)
         assert read_reports(tmp_path / f"{name}_a") == read_reports(tmp_path / f"{name}_b")
+
+
+def test_run_meta_counts_asf_work(tmp_path):
+    out = tmp_path / "out"
+    assert run(bundled("bundle_k2_smoothed"), out) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    for key in ("asf_points", "asf_batches", "stencil_nodes"):
+        assert isinstance(meta[key], int) and meta[key] > 0, key
+    # the cache serves repeated nodes, and one kernel call serves many points
+    assert meta["asf_batches"] < meta["asf_points"] < meta["stencil_nodes"]
+
+
+def test_v_derivs_csv_has_three_fields_per_row(tmp_path):
+    out = tmp_path / "out"
+    assert run(bundled("logit_k2_mixture"), out) == 0
+    with open(out / "v_derivs.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["index", "value", "split_spread"]
+    assert len(rows) > 1 and all(len(row) == 3 for row in rows)
+    assert "1,1" in [row[0] for row in rows[1:]]
 
 
 def test_config_echo_round_trip(tmp_path):
@@ -213,6 +234,7 @@ def _set(path, value):
         ("logit_k2_mixture", _set(("welfare", "path_segments"), [[[0.0, 0.0]]])),
         ("logit_k2_mixture", _set(("welfare", "path_segments"), [[[0.0, 0.0], [0.1]]])),
         ("logit_k2_mixture", _set(("diagnostics",), {"cauchy_schwarz": True})),
+        ("logit_k2_homogeneous", _set(("welfare", "weighting"), "bogus")),
     ],
     ids=[
         "scales_list",
@@ -229,6 +251,7 @@ def _set(path, value):
         "path_segment_one_vector",
         "path_segment_wrong_length",
         "diagnostics_block",
+        "welfare_weighting_unknown",
     ],
 )
 def test_invalid_config_exits_one(tmp_path, capsys, name, edit):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -118,13 +119,13 @@ def test_forward_scheme_keeps_nodes_nonnegative():
     seen = []
 
     class Spy(AsfEvaluator):
-        def asf(self, x):
-            seen.append(np.array(x))
-            return super().asf(x)
+        def asf_batch(self, X):
+            seen.append(np.array(X))
+            return super().asf_batch(X)
 
     ev = Spy(model, beta)
     mixed_partial(ev, 1, ((1, 1), (2, 1)), FdScheme(kind="forward"))
-    assert all(np.all(x >= 0.0) for x in seen)
+    assert seen and all(np.all(X >= 0.0) for X in seen)
 
 
 def test_central_rejected_on_nonnegative_domain():
@@ -141,8 +142,8 @@ class _NanEvaluator:
         dims = DIMS
         nonnegative_domain = False
 
-    def asf(self, x):
-        return np.array([np.nan, 0.0])
+    def asf_batch(self, X):
+        return np.tile([np.nan, 0.0], (len(X), 1))
 
 
 def test_nonfinite_node_reported():
@@ -164,10 +165,10 @@ class _SmoothField:
 
     center = np.array([0.2, -0.1])
 
-    def asf(self, x):
-        x1, x2 = x
+    def asf_batch(self, X):
+        x1, x2 = X.T
         f = np.exp(self.A * x1 + self.B * x2 + self.C * x1 * x2)
-        return np.array([f, 0.0])
+        return np.column_stack([f, np.zeros_like(f)])
 
     def exact(self, orders):
         # derivative of f w.r.t. x1 (orders[0] times) and x2 (orders[1] times)
@@ -256,3 +257,89 @@ def test_linearity_in_mixture_weights():
     for k, idx, val in tm.classes():
         combo = w * t1.value(k, idx.pairs) + (1 - w) * t2.value(k, idx.pairs)
         assert val == pytest.approx(combo, abs=1e-9)
+
+
+class _CountingEvaluator(AsfEvaluator):
+    """Evaluator recording, per asf_batch call, the kernel calls it made."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batches = []
+
+    def asf_batch(self, X):
+        before = self.kernel_calls
+        out = super().asf_batch(X)
+        self.batches.append(self.kernel_calls - before)
+        return out
+
+
+def test_table_makes_one_kernel_call_per_class(smoothed_bundle):
+    model, beta = smoothed_bundle
+    ev = _CountingEvaluator(model, beta)
+    table = derivative_table(ev, 3)
+    n_classes = len(table.entries) // model.n_goods
+    # one stencil per derivative class serves every good
+    assert len(ev.batches) == n_classes
+    assert set(ev.batches) <= {0, 1}
+    assert ev.batches[0] == 1
+    assert ev.kernel_calls == sum(ev.batches) <= n_classes
+    assert table.stencil_nodes > ev.points_evaluated
+
+
+def _scalar_loop_entry(evaluator, k, pairs, scheme):
+    """One entry by the plain node loop: every tensor-stencil node through
+    evaluator.asf, one good at a time."""
+    powers = {}
+    for g, c in pairs:
+        pos = sum(evaluator.model.dims[: g - 1]) + c - 1
+        powers[pos] = powers.get(pos, 0) + 1
+    order = len(pairs)
+    estimates = []
+    for lvl in range(scheme.levels + 1):
+        h = scheme.step_for(order) / 2**lvl
+        per_var = [(pos, *stencil(scheme.kind, r)) for pos, r in powers.items()]
+        acc = 0.0
+        for combo in itertools.product(*[range(len(offs)) for _, offs, _ in per_var]):
+            x = np.array(evaluator.center, dtype=float)
+            w = 1.0
+            for (pos, offs, wts), i in zip(per_var, combo):
+                x[pos] += offs[i] * h
+                w *= wts[i]
+            acc += w * evaluator.asf(x)[k - 1]
+        estimates.append(acc / h**order)
+    return richardson(estimates, scheme.base_accuracy, scheme.accuracy_stride)
+
+
+@pytest.mark.parametrize("kind", ["central", "forward"])
+def test_derivative_table_matches_scalar_node_loop(kind, smoothed_bundle):
+    model, beta = smoothed_bundle
+    scheme = FdScheme(kind=kind)
+    table = derivative_table(AsfEvaluator(model, beta), 3, scheme)
+    reference = AsfEvaluator(model, beta)
+    scale = max(abs(v) for v in table.entries.values())
+    for (k, pairs), val in table.entries.items():
+        want = _scalar_loop_entry(reference, k, pairs, scheme)
+        assert abs(val - want) <= 1e-6 * scale, (k, pairs)
+
+
+def test_nan_producing_model_reports_node():
+    class HalfNan(AsfEvaluator):
+        def ybar_given_beta(self, x, beta):
+            out = np.array(super().ybar_given_beta(x, beta))
+            out[np.asarray(x)[..., 1] > 0.004] = np.nan
+            return out
+
+    model = LogitModel(dims=DIMS, alphas=(0.0, 0.0), outside_good=True)
+    ev = HalfNan(model, DiscreteBeta(DIMS, [[1.0, 1.0], [1.0, 2.0]], [0.5, 0.5]))
+    with pytest.raises(EvaluationError) as err:
+        derivative_table(ev, 2)
+    assert err.value.point[1] > 0.004
+    assert str(err.value.point.tolist()) in str(err.value)
+
+
+def test_nonnegative_domain_table_rejects_central_before_evaluating():
+    model = LogitModel(dims=DIMS, alphas=(0.0, 0.0), nonnegative_domain=True)
+    ev = _CountingEvaluator(model, DiscreteBeta(DIMS, [[1.0, 1.0]], [1.0]))
+    with pytest.raises(ConfigurationError):
+        derivative_table(ev, 2, FdScheme(kind="central"))
+    assert ev.batches == [] and ev.kernel_calls == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -196,8 +197,10 @@ def test_inverse_weighting_applies_reciprocals():
     beta = DiscreteBeta(DIMS, [[0.5, 1.0], [2.0, 1.0]], [0.5, 0.5])
 
     class UnitV:
-        def value(self, u):
-            return 1.0
+        trust_radius = math.inf
+
+        def values(self, U):
+            return np.ones(len(U))
 
     got = average_indirect_utility(UnitV(), model, beta, np.zeros(2), "inverse_abs_beta11")
     assert got == pytest.approx(0.5 * 2.0 + 0.5 * 0.5)
@@ -208,8 +211,10 @@ def test_inverse_weighting_rejects_zero_coefficient():
     beta = DiscreteBeta(DIMS, [[0.0, 1.0]], [1.0])
 
     class UnitV:
-        def value(self, u):
-            return 1.0
+        trust_radius = math.inf
+
+        def values(self, U):
+            return np.ones(len(U))
 
     with pytest.raises(WeightingError):
         average_indirect_utility(UnitV(), model, beta, np.ones(2), "inverse_abs_beta11")
@@ -348,3 +353,75 @@ def test_taylor_model_rejects_nonconvex_tables():
             tables={2: VDerivTable({(1, 1): 0.25, (1, 2): 0.6, (2, 2): 0.25})},
             trust_radius=0.5,
         )
+
+
+def _reference_taylor_sum(vmodel, u):
+    """V(u) by the per-term loop: coefficient times multinomial weight times
+    the product of the indices it names."""
+    total = float(np.dot(vmodel.gradient, u))
+    for order in sorted(vmodel.tables):
+        for gamma, coef in vmodel.tables[order].items():
+            term = coef
+            for g in set(gamma):
+                term /= math.factorial(gamma.count(g))
+            for g in gamma:
+                term *= u[g - 1]
+            total += term
+    return total
+
+
+def test_taylor_values_match_per_point_sum(recovered_taylor):
+    _, _, _, vmodel = recovered_taylor
+    U = np.random.default_rng(5).uniform(-0.5, 0.5, size=(40, 2))
+    got = vmodel.values(U)
+    assert got.shape == (40,)
+    for u, v in zip(U, got):
+        assert v == pytest.approx(_reference_taylor_sum(vmodel, u), rel=1e-14, abs=1e-17)
+    assert vmodel.value(U[0]) == got[0]
+
+
+def test_taylor_values_three_goods_fourth_order():
+    rng = np.random.default_rng(23)
+    goods = (1, 2, 3)
+    # a dominant diagonal keeps the polynomial convex on the probes
+    scale = {2: 0.05, 3: 0.02, 4: 0.05}
+    tables = {
+        m: VDerivTable(
+            {
+                g: (0.3 if len(set(g)) == 1 else scale[m]) * rng.uniform(0.5, 1.0)
+                for g in itertools.combinations_with_replacement(goods, m)
+            }
+        )
+        for m in (2, 3, 4)
+    }
+    vmodel = TaylorVModel(gradient=np.array([0.2, 0.3, 0.1]), tables=tables, trust_radius=0.3)
+    U = rng.uniform(-0.3, 0.3, size=(25, 3))
+    for u, v in zip(U, vmodel.values(U)):
+        assert v == pytest.approx(_reference_taylor_sum(vmodel, u), rel=1e-14, abs=1e-17)
+
+
+def test_taylor_model_rejects_terms_outside_goods():
+    for gamma in ((0, 1), (1, 3)):
+        with pytest.raises(ConfigurationError, match="outside 1..2"):
+            TaylorVModel(gradient=np.array([0.5, 0.5]), tables={2: VDerivTable({gamma: 0.1})})
+
+
+def test_taylor_model_rejects_diagonal_nonconvexity():
+    # convex along both axes, concave only along the (1, -1) diagonal
+    with pytest.raises(ConfigurationError, match=r"non-convex along \[ 0.7"):
+        TaylorVModel(
+            gradient=np.array([0.5, 0.5]),
+            tables={2: VDerivTable({(1, 1): 0.2, (1, 2): 0.3, (2, 2): 0.2})},
+            trust_radius=0.5,
+        )
+
+
+def test_average_indirect_utility_warns_per_outside_point(recovered_taylor):
+    model, _, _, vmodel = recovered_taylor
+    mix = DiscreteBeta(DIMS, [[1.0, 1.0], [4.0, 1.0], [1.0, 5.0]], [0.5, 0.25, 0.25])
+    x = np.array([0.1, 0.1])  # indices 0.1, 0.4 and 0.5 against a radius of 0.35
+    with pytest.warns(ExtrapolationWarning) as record:
+        got = average_indirect_utility(vmodel, model, mix, x)
+    assert len(record) == 2
+    want = sum(w * vmodel.values(model.indices(x, b)[None])[0] for w, b in mix.support())
+    assert got == pytest.approx(want, rel=1e-14)
