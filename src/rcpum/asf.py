@@ -40,8 +40,13 @@ def _scenario_choices(model, x, beta):
     if kernel.sigma is None:
         p = (z == best).astype(float)
     else:
-        p = np.exp((z - best) / kernel.sigma)
-    return p / p.sum(axis=-1, keepdims=True)
+        # the softmax in place: z is the largest array of the kernel
+        p = z
+        p -= best
+        p /= kernel.sigma
+        np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 def ybar_given_beta(model, x, beta):

@@ -75,6 +75,25 @@ def _expect_keys(block, where, required=(), optional=()):
         raise ConfigurationError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _flag(block, key, where):
+    """An optional JSON boolean, False when absent or null."""
+    value = block.get(key)
+    if value is None:
+        return False
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{where}.{key} must be true or false")
+    return value
+
+
+def _integer(value, where):
+    """A JSON integer; integral floats are accepted, booleans are not."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigurationError(f"{where} must be an integer")
+    return int(value)
+
+
 _MODEL_KEYS = {
     "logit": ("alphas", "outside_good", "index_form"),
     "bundle": ("scenarios", "lattice", "smoothing"),
@@ -98,12 +117,12 @@ def _build_model(block):
     common = dict(
         dims=dims,
         center=np.asarray(block["center"], dtype=float) if block.get("center") is not None else None,
-        nonnegative_domain=bool(block.get("nonnegative_domain", False)),
+        nonnegative_domain=_flag(block, "nonnegative_domain", "model"),
     )
     if kind == "logit":
         return LogitModel(
             alphas=tuple(float(a) for a in block.get("alphas", (0.0,) * len(dims))),
-            outside_good=bool(block.get("outside_good", False)),
+            outside_good=_flag(block, "outside_good", "model"),
             index_form=block.get("index_form", "linear"),
             **common,
         )
@@ -177,7 +196,7 @@ def _build_scheme(block):
         base_step=None if block.get("base_step") is None else float(block["base_step"]),
         richardson_levels=None
         if block.get("richardson_levels") is None
-        else int(block["richardson_levels"]),
+        else _integer(block["richardson_levels"], "fd.richardson_levels"),
     )
 
 
@@ -212,10 +231,14 @@ def _parse_welfare(block, n):
     if weighting not in WEIGHTINGS:
         raise ConfigurationError(f"welfare.weighting must be one of {list(WEIGHTINGS)}")
     radius = block.get("trust_radius")
+    if radius is not None:
+        radius = float(radius)
+        if not 0 < radius < np.inf:
+            raise ConfigurationError("welfare.trust_radius must be positive and finite")
     return {
         "points": [_covariates(x, n, "welfare.points[]") for x in block.get("points", [])],
         "weighting": weighting,
-        "trust_radius": None if radius is None else float(radius),
+        "trust_radius": radius,
         "path_segments": segments,
     }
 
@@ -259,7 +282,7 @@ def parse_config(raw):
     route = rec["route"]
     if route not in ("scale", "independence", "vknown"):
         raise ConfigurationError(f"unknown recovery route {route!r}")
-    max_order = int(rec["max_order"])
+    max_order = _integer(rec["max_order"], "recovery.max_order")
     if max_order < 1:
         raise ConfigurationError("recovery.max_order must be >= 1")
     scales = {int(k): float(v) for k, v in _optional_object(rec, "scales", "recovery").items()}
@@ -339,10 +362,10 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _moment_rows(table, beta):
+def _moment_rows(table, truths):
     rows = []
     for idx, rec in table.items():
-        tru = true_moment(beta, idx)
+        tru = truths[idx]
         abs_err = abs(rec - tru)
         rel_err = abs_err / abs(tru) if tru != 0 else float("inf")
         rows.append((str(idx), _fmt(rec), _fmt(tru), _fmt(abs_err), _fmt(rel_err), table.route))
@@ -454,10 +477,15 @@ def run(config_path, out_dir, seed=None, max_order=None, scheme=None, route=None
     if table is not None:
         relevance = {}
         for order in range(1, config.max_order + 1):
-            try:
-                relevance.update(chain_ratios(table, order, config.tau_rel).relevance)
-            except _RUN_FAILURES:
-                pass
+            mt = moment_tables.get(order)
+            chained = None if mt is None else mt.relevance
+            # chain only what recovery did not: the vknown route, or past a failure
+            if chained is None:
+                try:
+                    chained = chain_ratios(table, order, config.tau_rel).relevance
+                except _RUN_FAILURES:
+                    continue
+            relevance.update(chained)
         report = build_report(
             table,
             v_derivs=v_table,
@@ -516,11 +544,15 @@ def _run_welfare(config, evaluator, v_table):
 
 
 def _write_reports(out, config, evaluator, moment_tables, v_table, welfare_out, report, failure):
+    truths = {
+        order: {idx: true_moment(config.beta, idx) for idx in mt.entries}
+        for order, mt in moment_tables.items()
+    }
     for order, mt in sorted(moment_tables.items()):
         _write_csv(
             out / f"moments_order{order}.csv",
             ("index", "recovered", "true", "abs_err", "rel_err", "route"),
-            _moment_rows(mt, config.beta),
+            _moment_rows(mt, truths[order]),
         )
     if v_table is not None:
         rows = [
@@ -541,7 +573,7 @@ def _write_reports(out, config, evaluator, moment_tables, v_table, welfare_out, 
                 str(order): {
                     "route": mt.route,
                     "entries": {str(i): float(v) for i, v in mt.items()},
-                    "true": {str(i): float(true_moment(config.beta, i)) for i, _ in mt.items()},
+                    "true": {str(i): float(truths[order][i]) for i, _ in mt.items()},
                 }
                 for order, mt in sorted(moment_tables.items())
             },

@@ -7,6 +7,7 @@ good ``g`` lives at position ``offset(g) + c - 1``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,8 +19,10 @@ from .exceptions import ConfigurationError
 WEIGHT_TOL = 1e-12
 
 
+@functools.cache
 def flat_offsets(dims):
-    """Starting flat position of each good's characteristic block."""
+    """Starting flat position of each good's characteristic block; ``dims``
+    is a tuple."""
     offs = [0]
     for d in dims:
         offs.append(offs[-1] + d)

@@ -8,9 +8,16 @@ order 2, forward (one-sided) stencils order 1; Richardson extrapolation
 raises either as configured.  Forward stencils keep every node in the
 nonnegative orthant, for models identified only there.
 
-Each derivative class is estimated for every good at once: the nodes of all
-Richardson levels go to the ASF in one ``asf_batch`` call, and the stencil
-weights contract the (nodes, K) values into one vector per level.
+The estimates are linear in the ASF, so a list of derivative classes is one
+``StencilPlan``: estimates = R . W . ASF(center + O).  ``O`` holds the
+distinct node displacements of every class and Richardson level, ``W`` the
+stencil weights of each (class, level) row, divided by h^order after the
+contraction so that sums which cancel exactly still do, and ``R`` the
+Richardson combination of each class's levels.  A table evaluates its plan
+with one ``asf_batch`` call that yields every good's estimate of every
+class.  The plan depends only on (dims, max_order, scheme), so it is built
+at the first table of a shape and memoised.  ``stencil_nodes`` still counts
+the nodes the class stencils request, once per class and level.
 """
 
 from __future__ import annotations
@@ -45,8 +52,8 @@ class FdScheme:
     def __post_init__(self):
         if self.kind not in ("central", "forward"):
             raise ConfigurationError(f"unknown scheme kind {self.kind!r}")
-        if self.base_step is not None and self.base_step <= 0:
-            raise ConfigurationError("base_step must be positive")
+        if self.base_step is not None and not 0 < self.base_step < math.inf:
+            raise ConfigurationError("base_step must be positive and finite")
         if self.richardson_levels is not None and self.richardson_levels < 0:
             raise ConfigurationError("richardson_levels must be >= 0")
 
@@ -130,24 +137,6 @@ def _require_scheme_fits_domain(evaluator, scheme):
         raise ConfigurationError("nonnegative-orthant models require the forward scheme")
 
 
-def _class_estimate(evaluator, powers, scheme):
-    """Richardson-extrapolated estimate of one mixed partial of every
-    good's mean demand, shape (K,), and the number of stencil nodes used."""
-    offsets, weights = _tensor_stencil(scheme.kind, tuple(powers.values()))
-    order = sum(powers.values())
-    steps = scheme.step_for(order) / 2.0 ** np.arange(scheme.levels + 1)
-    center = np.asarray(evaluator.center, dtype=float)
-    nodes = np.repeat(center[None], len(steps) * len(offsets), axis=0)
-    nodes[:, list(powers)] += (steps[:, None, None] * offsets).reshape(-1, len(powers))
-    values = evaluator.asf_batch(nodes)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        x = nodes[np.argmin(finite)]
-        raise EvaluationError(f"non-finite demand at stencil node {x.tolist()}", point=x)
-    levels = weights @ values.reshape(len(steps), len(offsets), -1) / steps[:, None] ** order
-    return richardson(levels, scheme.base_accuracy, scheme.accuracy_stride), len(nodes)
-
-
 def richardson(values, base_order, stride):
     """Extrapolate estimates at steps h, h/2, ..., h/2^L to higher order.
 
@@ -163,6 +152,97 @@ def richardson(values, base_order, stride):
     return col[0]
 
 
+@dataclass(frozen=True, eq=False)
+class StencilPlan:
+    """Richardson-extrapolated FD estimates of a list of derivative classes
+    as one linear map of the ASF values at ``center + offsets``.
+
+    ``offsets`` holds the distinct node displacements (nodes x variables),
+    in order of first request.  Each (class, level) pair is one row of a
+    sparse stencil operator, stored as the run
+    ``columns[starts[r]:starts[r + 1]]`` with ``weights`` alongside, and
+    ``divisors`` holds the row's h^order.  ``keys`` names the table entries
+    the estimates fill, class by class and good by good; ``requested``
+    counts the nodes the stencils request before deduplication.  Every
+    array is read-only.
+    """
+
+    classes: tuple
+    keys: tuple
+    scheme: FdScheme
+    offsets: np.ndarray
+    columns: np.ndarray
+    weights: np.ndarray
+    starts: np.ndarray
+    divisors: np.ndarray
+
+    @classmethod
+    def build(cls, dims, classes, scheme):
+        classes = tuple(classes)
+        n_vars = sum(dims)
+        halvings = 2.0 ** np.arange(scheme.levels + 1)
+        displacements, weights, divisors, row_sizes = [], [], [], []
+        for combo in classes:
+            powers = _variable_powers(dims, combo)
+            offsets, w = _tensor_stencil(scheme.kind, tuple(powers.values()))
+            h = scheme.step_for(len(combo)) / halvings
+            disp = np.zeros((len(h), len(offsets), n_vars))
+            disp[:, :, list(powers)] = h[:, None, None] * offsets
+            displacements.append(disp.reshape(-1, n_vars))
+            weights.append(np.tile(w, len(h)))
+            divisors.append(h ** len(combo))
+            row_sizes += [len(offsets)] * len(h)
+        disp = np.concatenate(displacements)
+        # distinct nodes in order of first request, equal bitwise as in the
+        # ASF cache
+        node_of = {}
+        columns = np.array([node_of.setdefault(row.tobytes(), len(node_of)) for row in disp])
+        offsets = np.empty((len(node_of), n_vars))
+        offsets[columns] = disp
+        arrays = (
+            offsets,
+            columns,
+            np.concatenate(weights),
+            np.cumsum([0] + row_sizes[:-1]),
+            np.concatenate(divisors),
+        )
+        for a in arrays:
+            a.setflags(write=False)
+        keys = tuple((k, combo) for combo in classes for k in range(1, len(dims) + 1))
+        return cls(classes, keys, scheme, *arrays)
+
+    @property
+    def requested(self):
+        return len(self.columns)
+
+    def estimates(self, evaluator):
+        """Every good's estimate of every class, shaped (classes, K), from
+        one ``asf_batch`` call over the distinct nodes."""
+        nodes = np.asarray(evaluator.center, dtype=float) + self.offsets
+        values = evaluator.asf_batch(nodes)
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            x = nodes[np.argmin(finite)]
+            raise EvaluationError(f"non-finite demand at stencil node {x.tolist()}", point=x)
+        rows = np.add.reduceat(self.weights[:, None] * values[self.columns], self.starts, axis=0)
+        levels = (rows / self.divisors[:, None]).reshape(len(self.classes), -1, values.shape[1])
+        scheme = self.scheme
+        return richardson(levels.swapaxes(0, 1), scheme.base_accuracy, scheme.accuracy_stride)
+
+
+@functools.cache
+def table_plan(dims, max_order, scheme):
+    """The memoised plan of every derivative class of orders 1..max_order,
+    in table order."""
+    all_pairs = [(g + 1, c + 1) for g, d in enumerate(dims) for c in range(d)]
+    classes = [
+        combo
+        for order in range(1, max_order + 1)
+        for combo in itertools.combinations_with_replacement(all_pairs, order)
+    ]
+    return StencilPlan.build(dims, classes, scheme)
+
+
 def mixed_partial(evaluator, good, pairs, scheme=None):
     """FD estimate of one mixed partial of mean demand at the center.
 
@@ -170,15 +250,15 @@ def mixed_partial(evaluator, good, pairs, scheme=None):
     differentiation variables as (good, characteristic) pairs.
     """
     scheme = scheme or FdScheme()
-    pairs = tuple(tuple(p) for p in pairs)
+    pairs = tuple(sorted(tuple(p) for p in pairs))
     if not pairs:
         raise ConfigurationError("at least one differentiation variable required")
     dims = evaluator.model.dims
     if not 1 <= good <= len(dims):
         raise ConfigurationError(f"good index {good} outside 1..{len(dims)}")
     _require_scheme_fits_domain(evaluator, scheme)
-    estimate, _ = _class_estimate(evaluator, _variable_powers(dims, pairs), scheme)
-    return estimate[good - 1]
+    plan = StencilPlan.build(dims, (pairs,), scheme)
+    return plan.estimates(evaluator)[0, good - 1]
 
 
 @dataclass(frozen=True)
@@ -187,7 +267,8 @@ class DerivativeTable:
 
     Mixed partials are symmetric, so each derivative is stored once, keyed
     by (component good, sorted tuple of (good, characteristic) pairs).
-    ``stencil_nodes`` counts the ASF nodes the estimates requested.
+    ``stencil_nodes`` counts the ASF nodes the class stencils requested,
+    before nodes shared between classes and levels were deduplicated.
     """
 
     dims: tuple[int, ...]
@@ -199,6 +280,10 @@ class DerivativeTable:
 
     def value(self, good, pairs):
         """Lookup by (good, characteristic) pairs in any order."""
+        try:
+            return self.entries[(good, pairs)]
+        except (KeyError, TypeError):
+            pass
         key = (good, tuple(sorted(tuple(p) for p in pairs)))
         if key not in self.entries:
             raise KeyError(f"no entry for component {good}, index {key[1]}")
@@ -216,27 +301,20 @@ class DerivativeTable:
 
 
 def derivative_table(evaluator, max_order, scheme=None):
-    """Estimate every mixed partial of orders 1..max_order, once each; one
-    stencil serves every good's entry of a derivative class."""
+    """Estimate every mixed partial of orders 1..max_order, once each, with
+    one ``asf_batch`` call through the memoised plan of the table's shape."""
     scheme = scheme or FdScheme()
     if max_order < 1:
         raise ConfigurationError("max_order must be >= 1")
     _require_scheme_fits_domain(evaluator, scheme)
     dims = evaluator.model.dims
-    all_pairs = [(g + 1, c + 1) for g, d in enumerate(dims) for c in range(d)]
-    entries = {}
-    n_nodes = 0
-    for order in range(1, max_order + 1):
-        for combo in itertools.combinations_with_replacement(all_pairs, order):
-            estimate, used = _class_estimate(evaluator, _variable_powers(dims, combo), scheme)
-            n_nodes += used
-            for k in range(1, len(dims) + 1):
-                entries[(k, combo)] = estimate[k - 1]
+    plan = table_plan(dims, max_order, scheme)
+    estimates = plan.estimates(evaluator)
     return DerivativeTable(
         dims=dims,
         max_order=max_order,
         center=tuple(float(v) for v in evaluator.center),
         scheme=scheme,
-        entries=entries,
-        stencil_nodes=n_nodes,
+        entries=dict(zip(plan.keys, estimates.ravel().tolist())),
+        stencil_nodes=plan.requested,
     )

@@ -15,6 +15,7 @@ or a supplied table of value-function derivatives.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -35,12 +36,17 @@ DEFAULT_TAU_REL = 1e-7
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Recovered moments of one order with per-entry provenance."""
+    """Recovered moments of one order with per-entry provenance.
+
+    ``relevance`` is the relevance map of the ratio chain the moments came
+    from, or None when the route does not chain ratios.
+    """
 
     order: int
     entries: dict
     route: str
     provenance: dict = field(default_factory=dict)
+    relevance: dict | None = None
 
     def __getitem__(self, idx):
         return self.entries[idx]
@@ -86,14 +92,18 @@ class VDerivTable:
         return sorted(self.entries.items())
 
 
+@functools.cache
 def moment_indices_for(dims, good_tuple):
     """Canonical moment indices with the given good multiset, sorted."""
     choices = [range(1, dims[g - 1] + 1) for g in good_tuple]
-    return sorted({MomentIndex(tuple(zip(good_tuple, xi))) for xi in itertools.product(*choices)})
+    return tuple(
+        sorted({MomentIndex(tuple(zip(good_tuple, xi))) for xi in itertools.product(*choices)})
+    )
 
 
+@functools.cache
 def good_multisets(n_goods, order):
-    return list(itertools.combinations_with_replacement(range(1, n_goods + 1), order))
+    return tuple(itertools.combinations_with_replacement(range(1, n_goods + 1), order))
 
 
 def _check_permutation_condition(num, den):
@@ -231,7 +241,7 @@ def recover_moments_scale(table, order, known_scale, tau_rel=DEFAULT_TAU_REL):
     scale_idx = MomentIndex(((1, 1),) * order)
     entries = _rescaled_entries(chain, scale_idx, known_scale, tau_rel, "scale")
     prov = {idx: f"scale:{chain.reference}" for idx in entries}
-    return MomentTable(order=order, entries=entries, route="scale", provenance=prov)
+    return MomentTable(order, entries, "scale", prov, chain.relevance)
 
 
 def recover_moments_independence(table, max_order, abs_mean, tau_rel=DEFAULT_TAU_REL):
@@ -255,7 +265,8 @@ def recover_moments_independence(table, max_order, abs_mean, tau_rel=DEFAULT_TAU
     chain1 = chain_ratios(table, 1, tau_rel)
     m11 = MomentIndex(((1, 1),))
     entries = _rescaled_entries(chain1, m11, mean11, tau_rel, "first")
-    tables = {1: MomentTable(1, entries, "independence", {i: "independence:mean" for i in entries})}
+    prov = {i: "independence:mean" for i in entries}
+    tables = {1: MomentTable(1, entries, "independence", prov, chain1.relevance)}
 
     for order in range(2, max_order + 1):
         prev = tables[order - 1]
@@ -282,7 +293,7 @@ def recover_moments_independence(table, max_order, abs_mean, tau_rel=DEFAULT_TAU
         except RelevanceError as exc:
             raise AnchorError(str(exc), order=order) from exc
         prov = {i: f"independence:{anchor_idx}" for i in entries}
-        tables[order] = MomentTable(order, entries, "independence", prov)
+        tables[order] = MomentTable(order, entries, "independence", prov, chain.relevance)
     return tables
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from rcpum import cli, recovery
 from rcpum.cli import main, parse_config, resolve_config_path, run
 from rcpum.models import LogitModel
 
@@ -207,12 +208,16 @@ def test_monte_carlo_misconfiguration_exits_one(tmp_path, name, n_draws, keep_se
     assert "Traceback" not in proc.stderr
 
 
-def _set(path, value):
+def _set(path, value, *more):
+    """Config edit setting ``path`` to ``value``, and each further
+    (path, value) pair of ``more``."""
+
     def edit(raw):
-        block = raw
-        for key in path[:-1]:
-            block = block.setdefault(key, {})
-        block[path[-1]] = value
+        for where, what in ((path, value),) + more:
+            block = raw
+            for key in where[:-1]:
+                block = block.setdefault(key, {})
+            block[where[-1]] = what
 
     return edit
 
@@ -235,6 +240,15 @@ def _set(path, value):
         ("logit_k2_mixture", _set(("welfare", "path_segments"), [[[0.0, 0.0], [0.1]]])),
         ("logit_k2_mixture", _set(("diagnostics",), {"cauchy_schwarz": True})),
         ("logit_k2_homogeneous", _set(("welfare", "weighting"), "bogus")),
+        ("logit_k2_mixture", _set(("model", "outside_good"), "no")),
+        (
+            "logit_k2_mixture",
+            _set(("model", "nonnegative_domain"), "no", (("fd", "kind"), "forward")),
+        ),
+        ("logit_k2_mixture", _set(("recovery", "max_order"), 2.5)),
+        ("logit_k2_mixture", _set(("fd", "richardson_levels"), 1.7)),
+        ("logit_k2_homogeneous", _set(("welfare", "trust_radius"), -0.5)),
+        ("logit_k2_mixture", _set(("fd", "base_step"), float("nan"))),
     ],
     ids=[
         "scales_list",
@@ -252,6 +266,12 @@ def _set(path, value):
         "path_segment_wrong_length",
         "diagnostics_block",
         "welfare_weighting_unknown",
+        "outside_good_string",
+        "nonnegative_domain_string",
+        "max_order_fractional",
+        "richardson_levels_fractional",
+        "trust_radius_negative",
+        "base_step_nan",
     ],
 )
 def test_invalid_config_exits_one(tmp_path, capsys, name, edit):
@@ -264,6 +284,33 @@ def test_invalid_config_exits_one(tmp_path, capsys, name, edit):
     assert "config error:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, route",
+    [
+        ("logit_k2_mixture", None),
+        ("independence_k2", None),
+        ("bundle_k2_smoothed", None),
+        ("logit_k2_mixture", "vknown"),
+    ],
+    ids=["scale", "independence", "bundle_scale", "vknown"],
+)
+def test_run_chains_each_order_at_most_once(tmp_path, monkeypatch, name, route):
+    chained = []
+    chain = recovery.chain_ratios
+
+    def counting(table, order, *args, **kwargs):
+        chained.append(order)
+        return chain(table, order, *args, **kwargs)
+
+    monkeypatch.setattr(recovery, "chain_ratios", counting)
+    monkeypatch.setattr(cli, "chain_ratios", counting)
+    assert run(bundled(name), tmp_path / "out", route=route) == 0
+    max_order = json.loads(bundled(name).read_text())["recovery"]["max_order"]
+    # recovery hands its chains to the relevance map; the run chains only
+    # the orders that recovery did not (every order on the vknown route)
+    assert sorted(chained) == list(range(1, max_order + 1))
 
 
 def test_resolve_config_path_passthrough(tmp_path):
