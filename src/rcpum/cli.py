@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, logit
+from . import __version__
 from .asf import AsfEvaluator
 from .diagnostics import build_report
 from .distributions import DiscreteBeta, ProductBeta, UnivariateAtoms, true_moment
@@ -113,7 +113,7 @@ def _build_model(block):
         required=("type", "dims"),
         optional=("center", "nonnegative_domain") + _MODEL_KEYS[kind],
     )
-    dims = tuple(int(d) for d in block["dims"])
+    dims = tuple(_integer(d, "model.dims[]") for d in block["dims"])
     common = dict(
         dims=dims,
         center=np.asarray(block["center"], dtype=float) if block.get("center") is not None else None,
@@ -128,6 +128,7 @@ def _build_model(block):
         )
     if kind == "bundle":
         scens = []
+        pair = "model.scenarios[].complementarities[] goods"
         for s in block.get("scenarios", ()):
             _expect_keys(
                 s,
@@ -141,7 +142,8 @@ def _build_model(block):
                     weight=float(s["weight"]),
                     intercepts=tuple(float(v) for v in s["intercepts"]),
                     complementarities=tuple(
-                        (int(j), int(k), float(v)) for j, k, v in s.get("complementarities", ())
+                        (_integer(j, pair), _integer(k, pair), float(v))
+                        for j, k, v in s.get("complementarities", ())
                     ),
                     consideration=None
                     if consideration is None
@@ -149,10 +151,13 @@ def _build_model(block):
                 )
             )
         lattice = block.get("lattice")
+        smoothing = block.get("smoothing")
+        if isinstance(smoothing, bool):
+            raise ConfigurationError("model.smoothing must be a number or null")
         return BundleModel(
             scenarios=tuple(scens),
             lattice=None if lattice is None else tuple(tuple(float(q) for q in y) for y in lattice),
-            smoothing=None if block.get("smoothing") is None else float(block["smoothing"]),
+            smoothing=None if smoothing is None else float(smoothing),
             **common,
         )
     tables = []
@@ -304,14 +309,13 @@ def parse_config(raw):
             }
         )
     if route == "vknown" and v_derivs is None:
-        if not isinstance(model, LogitModel) or model.index_form != "linear":
-            raise ConfigurationError(
-                "vknown route needs recovery.v_derivs unless the model is logit "
-                "(whose value function is known in closed form)"
-            )
-        v_derivs = VDerivTable(
-            logit.vderiv_entries(model.alphas, max_order + 1, model.outside_good)
-        )
+        # the kernel's exact partials serve every smooth, linear-index model
+        need = "vknown route needs recovery.v_derivs for a"
+        if getattr(model, "index_form", "linear") != "linear":
+            raise ConfigurationError(f"{need} power-index logit")
+        if model.kernel.sigma is None:
+            raise ConfigurationError(f"{need} hard-argmax {raw['model']['type']} model")
+        v_derivs = VDerivTable(model.kernel.value_partials(max_order + 1))
     tau_rel = float(rec.get("tau_rel", DEFAULT_TAU_REL))
     if not 0 < tau_rel < np.inf:
         raise ConfigurationError("recovery.tau_rel must be positive and finite")
@@ -327,8 +331,8 @@ def parse_config(raw):
         model,
         beta,
         strategy=asf_options.get("strategy", "exact"),
-        n_draws=int(asf_options.get("n_draws", 0)),
-        seed=None if seed is None else int(seed),
+        n_draws=_integer(asf_options.get("n_draws", 0), "asf.n_draws"),
+        seed=None if seed is None else _integer(seed, "seed"),
     )
 
     scheme = _build_scheme(raw.get("fd"))

@@ -1,16 +1,11 @@
-"""Closed forms for the multinomial logit: demand, value function, and
-exact partial derivatives of the value function to arbitrary order.
+"""Closed forms for the multinomial logit: demand and value function, the
+independent references for the compiled kernel.
 
 The value function is V(u) = log(sum_j exp(alpha_j + u_j)), with an extra
-unit term in the sum when an outside good is present.  Every partial
-derivative of V is a polynomial in the choice probabilities; the recursion
-
-    d p_k / d u_j = p_k (1[j == k] - p_j)
-
-closes over monomials in the probabilities, which is what `_differentiate`
-exploits.  These derivatives serve as the independent oracle against the
-finite-difference path and as the supplied value-function table for the
-V-known recovery route.
+unit term in the sum when an outside good is present.  Its exact partial
+derivatives are not derived here: they are the softmax cumulants every
+smooth model's kernel gives through ``FiniteBudgetKernel.value_partials``,
+and ``derivative`` reads them from the logit kernel.
 """
 
 from __future__ import annotations
@@ -18,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .models import LogitModel
 
 
 def choice_probabilities(alphas, u, outside_good=False):
@@ -40,46 +37,12 @@ def value(alphas, u, outside_good=False):
     return float(shift + np.log(np.exp(z - shift).sum()))
 
 
-def _differentiate(poly, j):
-    """One derivative step on a polynomial in choice probabilities.
-
-    ``poly`` maps sorted monomials (tuples of good indices, a factor p_g per
-    entry) to coefficients.
-    """
-    out = {}
-    for mono, coef in poly.items():
-        cnt = mono.count(j)
-        if cnt:
-            out[mono] = out.get(mono, 0.0) + coef * cnt
-        grown = tuple(sorted(mono + (j,)))
-        out[grown] = out.get(grown, 0.0) - coef * len(mono)
-    return {m: c for m, c in out.items() if c != 0.0}
-
-
-def derivative_polynomial(gamma):
-    """Polynomial representation of the mixed partial d_gamma V.
-
-    ``gamma`` is a tuple of 1-based good indices of length >= 1.
-    """
-    if not gamma:
-        raise ValueError("gamma must contain at least one good index")
-    poly = {(gamma[0],): 1.0}
-    for j in gamma[1:]:
-        poly = _differentiate(poly, j)
-    return poly
-
-
 def derivative(alphas, u, gamma, outside_good=False):
-    """Exact mixed partial d_gamma V(u) of the logit value function."""
-    p = choice_probabilities(alphas, u, outside_good)
-    poly = derivative_polynomial(tuple(gamma))
-    total = 0.0
-    for mono, coef in sorted(poly.items()):
-        term = coef
-        for g in mono:
-            term *= p[g - 1]
-        total += term
-    return float(total)
+    """Exact mixed partial d_gamma V(u) of the logit value function, read
+    from the logit kernel at the intercepts alphas + u."""
+    alphas = np.add(alphas, u, dtype=float)
+    model = LogitModel(dims=(1,) * len(alphas), alphas=alphas, outside_good=outside_good)
+    return model.kernel.value_partials(len(gamma))[tuple(sorted(gamma))]
 
 
 @dataclass(frozen=True)
@@ -97,26 +60,3 @@ class LogitValue:
 
     def gradient(self, u):
         return choice_probabilities(self.alphas, u, self.outside_good)
-
-    def derivative(self, gamma, u=None):
-        if u is None:
-            u = np.zeros(len(self.alphas))
-        return derivative(self.alphas, u, gamma, self.outside_good)
-
-
-def vderiv_entries(alphas, max_order, outside_good=False, u=None):
-    """All value-function partials at u, keyed by sorted good multi-index.
-
-    Covers orders 2 .. max_order, the shape expected from recovery when a
-    derivative table of order max_order - 1 is used.
-    """
-    import itertools
-
-    n = len(alphas)
-    if u is None:
-        u = np.zeros(n)
-    entries = {}
-    for order in range(2, max_order + 1):
-        for gamma in itertools.combinations_with_replacement(range(1, n + 1), order):
-            entries[gamma] = derivative(alphas, u, gamma, outside_good)
-    return entries

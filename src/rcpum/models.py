@@ -15,7 +15,9 @@ stored on the model as ``model.kernel``; ``solve_choice`` and
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +66,65 @@ class FiniteBudgetKernel:
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def value_partials(self, max_order):
+        """Partials at u = 0 of V(u) = sum_t w_t sigma log sum_b exp((Y_b . u
+        + D_tb) / sigma), orders 1..max_order, keyed by sorted good tuple.
+
+        An order-m partial is sigma^(1-m) sum_t w_t kappa_t, with kappa_t the
+        joint cumulant of the budget's components under scenario t's softmax.
+        """
+        if self.sigma is None:
+            raise ConfigurationError("a hard-argmax kernel has no smooth value function")
+        gammas, exponents, steps = _cumulant_plan(self.Y.shape[1], max_order)
+        z = self.D / self.sigma
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        mu = p @ np.prod(self.Y[:, None, :] ** exponents, axis=-1)
+        kappa = mu.copy()
+        for cols, starts, coefs, lower, rest in steps:
+            kappa[:, cols] -= np.add.reduceat(coefs * kappa[:, lower] * mu[:, rest], starts, axis=1)
+        scale = self.sigma ** (1.0 - exponents.sum(axis=1))
+        return dict(zip(gammas, (scale * (self.w @ kappa)).tolist()))
+
+
+@functools.cache
+def _cumulant_plan(n_goods, max_order):
+    """Multi-indices alpha of orders 1..max_order, as sorted good tuples and
+    as rows of per-good exponents, and the moment-cumulant recursion
+
+        kappa_alpha = mu_alpha - sum C(alpha - e_j, beta - e_j) kappa_beta mu_(alpha - beta)
+
+    over e_j <= beta < alpha, j the first good with alpha_j > 0.  Each order
+    m >= 2 is one read-only step: its columns, the start of each column's run
+    of terms, and each term's coefficient and beta and alpha - beta positions.
+    """
+    gammas = tuple(
+        gamma
+        for order in range(1, max_order + 1)
+        for gamma in itertools.combinations_with_replacement(range(1, n_goods + 1), order)
+    )
+    alphas = [tuple(gamma.count(k) for k in range(1, n_goods + 1)) for gamma in gammas]
+    position = {alpha: i for i, alpha in enumerate(alphas)}
+    steps = []
+    for order in range(2, max_order + 1):
+        cols = [i for i, gamma in enumerate(gammas) if len(gamma) == order]
+        starts, coefs, lower, rest = [], [], [], []
+        for alpha in (alphas[i] for i in cols):
+            j = next(i for i, a in enumerate(alpha) if a)
+            starts.append(len(coefs))
+            for beta in itertools.product(*(range(a + 1) for a in alpha)):
+                if beta[j] and beta != alpha:
+                    # C(alpha - e_j, beta - e_j) = C(alpha, beta) beta_j / alpha_j
+                    coefs.append(math.prod(map(math.comb, alpha, beta)) * beta[j] // alpha[j])
+                    lower.append(position[beta])
+                    rest.append(position[tuple(a - b for a, b in zip(alpha, beta))])
+        arrays = (np.array(starts), np.array(coefs, dtype=float), np.array(lower), np.array(rest))
+        steps.append((slice(cols[0], cols[-1] + 1),) + arrays)
+    exponents = np.array(alphas, dtype=float).reshape(len(gammas), n_goods)
+    for a in [exponents] + [a for step in steps for a in step[1:]]:
+        a.setflags(write=False)
+    return gammas, exponents, tuple(steps)
 
 
 def _disturbance_value(d):
@@ -255,8 +316,8 @@ class BundleModel(ModelSpec):
                 raise ConfigurationError("lattice vectors must have one quantity per good")
         object.__setattr__(self, "lattice", lattice)
         _check_scenarios(self.scenarios, self.n_goods, lattice)
-        if self.smoothing is not None and self.smoothing <= 0:
-            raise ConfigurationError("smoothing scale must be positive")
+        if self.smoothing is not None and not 0 < self.smoothing < np.inf:
+            raise ConfigurationError("smoothing scale must be positive and finite")
         # a repeated lattice vector is one bundle, as in scenario_table
         budget = tuple(dict.fromkeys(lattice))
         D = [[_disturbance_value(scen.disturbance(y)) for y in budget] for scen in self.scenarios]

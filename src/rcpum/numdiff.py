@@ -261,6 +261,9 @@ def mixed_partial(evaluator, good, pairs, scheme=None):
     return plan.estimates(evaluator)[0, good - 1]
 
 
+_moment_index = functools.cache(MomentIndex)  # one shared index per table key
+
+
 @dataclass(frozen=True)
 class DerivativeTable:
     """All mixed-partial estimates at the center up to ``max_order``.
@@ -293,7 +296,7 @@ class DerivativeTable:
         """Iterate (component, MomentIndex, value) in sorted key order."""
         for (k, pairs), v in sorted(self.entries.items()):
             if order is None or len(pairs) == order:
-                yield k, MomentIndex(pairs), v
+                yield k, _moment_index(pairs), v
 
     @property
     def orders(self):

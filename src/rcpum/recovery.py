@@ -36,7 +36,7 @@ DEFAULT_TAU_REL = 1e-7
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Recovered moments of one order with per-entry provenance.
+    """Recovered moments of one order.
 
     ``relevance`` is the relevance map of the ratio chain the moments came
     from, or None when the route does not chain ratios.
@@ -45,7 +45,6 @@ class MomentTable:
     order: int
     entries: dict
     route: str
-    provenance: dict = field(default_factory=dict)
     relevance: dict | None = None
 
     def __getitem__(self, idx):
@@ -240,8 +239,7 @@ def recover_moments_scale(table, order, known_scale, tau_rel=DEFAULT_TAU_REL):
     chain = chain_ratios(table, order, tau_rel)
     scale_idx = MomentIndex(((1, 1),) * order)
     entries = _rescaled_entries(chain, scale_idx, known_scale, tau_rel, "scale")
-    prov = {idx: f"scale:{chain.reference}" for idx in entries}
-    return MomentTable(order, entries, "scale", prov, chain.relevance)
+    return MomentTable(order, entries, "scale", chain.relevance)
 
 
 def recover_moments_independence(table, max_order, abs_mean, tau_rel=DEFAULT_TAU_REL):
@@ -265,8 +263,7 @@ def recover_moments_independence(table, max_order, abs_mean, tau_rel=DEFAULT_TAU
     chain1 = chain_ratios(table, 1, tau_rel)
     m11 = MomentIndex(((1, 1),))
     entries = _rescaled_entries(chain1, m11, mean11, tau_rel, "first")
-    prov = {i: "independence:mean" for i in entries}
-    tables = {1: MomentTable(1, entries, "independence", prov, chain1.relevance)}
+    tables = {1: MomentTable(1, entries, "independence", chain1.relevance)}
 
     for order in range(2, max_order + 1):
         prev = tables[order - 1]
@@ -292,8 +289,7 @@ def recover_moments_independence(table, max_order, abs_mean, tau_rel=DEFAULT_TAU
             entries = _rescaled_entries(chain, lifted_idx, lifted_val, tau_rel, "anchor")
         except RelevanceError as exc:
             raise AnchorError(str(exc), order=order) from exc
-        prov = {i: f"independence:{anchor_idx}" for i in entries}
-        tables[order] = MomentTable(order, entries, "independence", prov, chain.relevance)
+        tables[order] = MomentTable(order, entries, "independence", chain.relevance)
     return tables
 
 
@@ -302,7 +298,8 @@ def recover_v_derivatives(table, moments, tau_rel=DEFAULT_TAU_REL):
 
     ``moments`` maps MomentIndex to value (possibly across several orders).
     Candidates from different (component, moment) splits of the same sorted
-    multi-index are averaged; their spread is kept as a diagnostic.
+    multi-index are averaged; their spread is kept as a diagnostic.  Partials
+    that break convexity raise PreconditionError.
     """
     if isinstance(moments, MomentTable):
         moments = dict(moments.items())
@@ -322,7 +319,10 @@ def recover_v_derivatives(table, moments, tau_rel=DEFAULT_TAU_REL):
     for gamma, cands in by_gamma.items():
         entries[gamma] = float(np.mean(cands))
         spread[gamma] = float(max(cands) - min(cands)) if len(cands) > 1 else 0.0
-    return VDerivTable(entries=entries, discrepancies=spread)
+    try:
+        return VDerivTable(entries=entries, discrepancies=spread)
+    except ConfigurationError as exc:
+        raise PreconditionError(f"recovered {exc}") from exc
 
 
 def recover_moments_vknown(table, v_derivs, order, tau_rel=DEFAULT_TAU_REL):
@@ -338,8 +338,7 @@ def recover_moments_vknown(table, v_derivs, order, tau_rel=DEFAULT_TAU_REL):
             raise PreconditionError(f"supplied value-function derivative {gamma} is zero")
         groups.setdefault(idx, []).append(val / dv)
     entries = {idx: float(np.mean(vals)) for idx, vals in groups.items()}
-    prov = {idx: "vknown" for idx in entries}
-    return MomentTable(order=order, entries=entries, route="vknown", provenance=prov)
+    return MomentTable(order=order, entries=entries, route="vknown")
 
 
 def same_good_ratios(table, component, good_tuple, xi, xi_tilde, tau_rel=DEFAULT_TAU_REL):

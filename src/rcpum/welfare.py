@@ -118,18 +118,10 @@ class TaylorVModel:
         """Gradient of the Taylor polynomial (mean demand at index u)."""
         u = np.asarray(u, dtype=float)
         _warn_outside(u[None], self.trust_radius)
-        out = self.gradient.astype(float).copy()
-        for order in sorted(self.tables):
-            for gamma, coef in self.tables[order].items():
-                mult = _inverse_count_factorial(gamma)
-                for g in set(gamma):
-                    reduced = list(gamma)
-                    reduced.remove(g)
-                    term = coef * mult * gamma.count(g)
-                    for r in reduced:
-                        term *= u[r - 1]
-                    out[g - 1] += term
-        return out
+        # e_k u_k^(e_k - 1) per term and good; clipping keeps 0 * inf out at u_k = 0
+        lowered = np.maximum(self._exponents - np.eye(self.n_goods, dtype=int)[:, None, :], 0)
+        slopes = np.prod(u ** lowered, axis=-1) * self._exponents.T
+        return self.gradient + slopes @ self._coefs
 
 
 def _warn_outside(U, trust_radius):

@@ -35,7 +35,6 @@ from rcpum import (
     recover_v_derivatives,
     true_moment,
 )
-from rcpum import logit
 from rcpum.cli import resolve_config_path, run
 
 DIMS = (1, 1)
@@ -111,7 +110,7 @@ def test_criterion_03_independence_route(mean_sign):
 def test_criterion_04_route_consistency(logit_mixture, logit_mixture_table):
     model, beta = logit_mixture
     _, table = logit_mixture_table
-    v_known = VDerivTable(logit.vderiv_entries(model.alphas, 4, outside_good=True))
+    v_known = VDerivTable(model.kernel.value_partials(4))
     for m in (1, 2, 3):
         by_scale = recover_moments_scale(table, m, 1.0)
         by_v = recover_moments_vknown(table, v_known, m)

@@ -1,6 +1,7 @@
-"""The traced benchmark wraps rcpum callables by name; a rename under
-``src/`` must fail here rather than silently break ``bench/run.py --trace 1``.
-The benchmark's files are read, never changed."""
+"""The benchmark imports rcpum callables by name and feeds its generated
+configs to the CLI; a rename or a tightened check under ``src/`` must fail
+here rather than silently break ``bench/run.py``.  The benchmark's files are
+read, never changed."""
 
 import importlib.util
 import sys
@@ -8,19 +9,36 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+from rcpum.cli import parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+BUNDLED_CONFIGS = ROOT / "src" / "rcpum" / "configs"
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave bench/ as it is
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
+
+
+@pytest.mark.parametrize("workload", ["ladder-logit", "ladder-bundle"])
+def test_every_generated_config_parses(workload):
+    # the logit ladder draws its intercepts through logit.derivative
+    workloads = _load("workloads")
+    for scenario in workloads.generate(workload, 1, BUNDLED_CONFIGS):
+        parse_config(scenario.config)
 
 
 def test_every_trace_target_resolves(tracing):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rcpum import cli, recovery
+from rcpum import ConfigurationError, cli, recovery
 from rcpum.cli import main, parse_config, resolve_config_path, run
 from rcpum.models import LogitModel
 
@@ -233,7 +233,19 @@ def _set(path, value, *more):
         ("logit_k2_mixture", _set(("recovery", "tau_rel"), "nan")),
         ("logit_k2_mixture", _set(("recovery", "tau_rel"), -1.0)),
         ("independence_k2", _set(("recovery", "abs_mean"), 0.0)),
-        ("bundle_k2_smoothed", _set(("recovery", "route"), "vknown")),
+        (
+            "bundle_k2_smoothed",
+            _set(("recovery", "route"), "vknown", (("model", "smoothing"), None)),
+        ),
+        (
+            "logit_k2_homogeneous",
+            _set(
+                ("recovery", "route"),
+                "vknown",
+                (("model", "index_form"), "power"),
+                (("model", "center"), [1.0, 1.0]),
+            ),
+        ),
         ("logit_k2_mixture", _set(("welfare", "points"), [["a", 0.1]])),
         ("logit_k2_mixture", _set(("welfare", "points"), [[0.1]])),
         ("logit_k2_mixture", _set(("welfare", "path_segments"), [[[0.0, 0.0]]])),
@@ -249,6 +261,23 @@ def _set(path, value, *more):
         ("logit_k2_mixture", _set(("fd", "richardson_levels"), 1.7)),
         ("logit_k2_homogeneous", _set(("welfare", "trust_radius"), -0.5)),
         ("logit_k2_mixture", _set(("fd", "base_step"), float("nan"))),
+        ("logit_k2_mixture", _set(("model", "dims"), [1.5, 1])),
+        ("logit_k2_mixture", _set(("model", "dims"), [True, 1])),
+        ("logit_k2_mixture", _set(("seed",), 0.5)),
+        (
+            "bundle_k2_smoothed",
+            _set(("asf",), {"strategy": "monte_carlo", "n_draws": 2.5}),
+        ),
+        (
+            "bundle_k2_smoothed",
+            _set(
+                ("model", "scenarios"),
+                [{"weight": 1.0, "intercepts": [0.5, -0.3], "complementarities": [[1.5, 2, 0.4]]}],
+            ),
+        ),
+        ("bundle_k2_smoothed", _set(("model", "smoothing"), True)),
+        ("bundle_k2_smoothed", _set(("model", "smoothing"), float("nan"))),
+        ("bundle_k2_smoothed", _set(("model", "smoothing"), float("inf"))),
     ],
     ids=[
         "scales_list",
@@ -260,6 +289,7 @@ def _set(path, value, *more):
         "tau_rel_negative",
         "abs_mean_zero",
         "vknown_without_v_derivs",
+        "vknown_power_index",
         "welfare_point_non_numeric",
         "welfare_point_wrong_length",
         "path_segment_one_vector",
@@ -272,6 +302,14 @@ def _set(path, value, *more):
         "richardson_levels_fractional",
         "trust_radius_negative",
         "base_step_nan",
+        "dims_fractional",
+        "dims_boolean",
+        "seed_fractional",
+        "n_draws_fractional",
+        "complementarity_good_fractional",
+        "smoothing_boolean",
+        "smoothing_nan",
+        "smoothing_infinite",
     ],
 )
 def test_invalid_config_exits_one(tmp_path, capsys, name, edit):
@@ -284,6 +322,66 @@ def test_invalid_config_exits_one(tmp_path, capsys, name, edit):
     assert "config error:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_monte_carlo_table_failing_convexity_exits_two(tmp_path):
+    # two draws per point make the FD table sampling noise, whose recovered
+    # own curvature comes out negative
+    raw = json.loads(bundled("bundle_k2_smoothed").read_text())
+    raw["asf"] = {"strategy": "monte_carlo", "n_draws": 2}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    command = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "rcpum.cli", *command], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    failure = json.loads((tmp_path / "out" / "summary.json").read_text())["failure"]
+    assert failure["stage"] == "v_derivatives"
+    assert failure["error"] == "PreconditionError"
+
+
+def test_vknown_route_reads_kernel_partials_on_smoothed_bundle(tmp_path):
+    assert run(bundled("bundle_k2_smoothed"), tmp_path / "out", route="vknown") == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    for block in summary["results"]["moments"].values():
+        assert block["route"] == "vknown"
+        for idx, value in block["entries"].items():
+            assert value == pytest.approx(block["true"][idx], rel=1e-6), idx
+
+
+@pytest.mark.parametrize(
+    "model, cause",
+    [
+        (
+            {
+                "type": "tabulated",
+                "dims": [1, 1],
+                "weights": [1.0],
+                "tables": [{"[0, 0]": 0.0, "[1, 0]": 0.2, "[0, 1]": -0.1}],
+            },
+            "hard-argmax tabulated",
+        ),
+        (
+            {"type": "bundle", "dims": [1, 1], "scenarios": [{"weight": 1.0, "intercepts": [0, 1]}]},
+            "hard-argmax bundle",
+        ),
+        (
+            {"type": "logit", "dims": [1, 1], "index_form": "power", "center": [1.0, 1.0]},
+            "power-index logit",
+        ),
+    ],
+    ids=["tabulated", "hard_argmax_bundle", "power_index_logit"],
+)
+def test_vknown_without_v_derivs_names_the_cause(model, cause):
+    raw = {
+        "model": model,
+        "beta": {"type": "discrete", "points": [[1.0, 1.0]], "weights": [1.0]},
+        "recovery": {"route": "vknown", "max_order": 1},
+    }
+    with pytest.raises(ConfigurationError, match=f"needs recovery.v_derivs for a {cause}"):
+        parse_config(raw)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
-"""The analytic value-function derivatives are the oracle the rest of the
+"""The exact value-function derivatives are the oracle the rest of the
 suite leans on, so they get their own independent check: high-accuracy
-finite differences applied directly to the closed-form value."""
+finite differences applied directly to the closed-form logit value."""
 
 import itertools
 
@@ -72,9 +72,3 @@ def test_logit_value_wrapper_normalized():
     assert oracle.value((0.1, 0.0)) == pytest.approx(truth, abs=1e-15)
     assert oracle.gradient((0.0, 0.0)) == pytest.approx([0.5, 0.5])
 
-
-def test_vderiv_entries_cover_orders():
-    entries = logit.vderiv_entries((0.0, 0.0), 4, outside_good=True)
-    lengths = {len(g) for g in entries}
-    assert lengths == {2, 3, 4}
-    assert entries[(1, 2)] == pytest.approx(-1 / 9)

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -159,3 +162,59 @@ def test_tabulated_model_budget_union():
     model = TabulatedModel(dims=DIMS, weights=(0.5, 0.5), tables=(tab0, tab1))
     assert latent_utility(model, (0.0, 1.0), X0, B0, 0) is EXCLUDED
     assert latent_utility(model, (0.0, 1.0), X0, B0, 1) == pytest.approx(2.0)
+
+
+def test_value_partials_cover_orders():
+    partials = LogitModel(dims=DIMS, alphas=(0.0, 0.0), outside_good=True).kernel.value_partials(4)
+    assert {len(g) for g in partials} == {1, 2, 3, 4}
+    assert len(partials) == 2 + 3 + 4 + 5
+    assert partials[(1,)] == pytest.approx(1 / 3)
+    assert partials[(1, 2)] == pytest.approx(-1 / 9)
+
+
+def test_value_partials_need_a_smooth_kernel():
+    with pytest.raises(ConfigurationError, match="hard-argmax"):
+        example2_model().kernel.value_partials(2)
+
+
+def smoothed_value(model, u):
+    """Closed-form V(u) of a smoothed bundle model, summed over its
+    scenarios and lattice without the compiled kernel."""
+    total = 0.0
+    for scen in model.scenarios:
+        scores = [
+            (float(np.dot(y, u)) + d) / model.smoothing
+            for y in model.lattice
+            if (d := scen.disturbance(y)) is not EXCLUDED
+        ]
+        top = max(scores)
+        log_sum = top + math.log(sum(math.exp(z - top) for z in scores))
+        total += scen.weight * model.smoothing * log_sum
+    return total
+
+
+def fd_partial(model, u, gamma, h=1e-2):
+    """Nested fourth-order central differences of the closed-form value."""
+    if not gamma:
+        return smoothed_value(model, u)
+    g, rest = gamma[0], gamma[1:]
+    total = 0.0
+    for off, w in ((-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12)):
+        shifted = np.array(u, dtype=float)
+        shifted[g - 1] += off * h
+        total += w * fd_partial(model, shifted, rest, h)
+    return total / h
+
+
+def test_value_partials_match_brute_force_on_smoothed_bundle():
+    scenarios = (
+        BundleScenario(0.5, (0.4, -0.2), ((1, 2, 0.3),)),
+        BundleScenario(0.3, (-0.5, 0.6), ((1, 2, -0.4),)),
+        BundleScenario(0.2, (0.9, -0.7), (), frozenset({(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)})),
+    )
+    model = BundleModel(dims=DIMS, scenarios=scenarios, smoothing=0.7)
+    partials = model.kernel.value_partials(4)
+    for order in (1, 2, 3, 4):
+        for gamma in itertools.combinations_with_replacement((1, 2), order):
+            # the differences stay within 3e-8 at order 4
+            assert partials[gamma] == pytest.approx(fd_partial(model, X0, gamma), abs=2e-7), gamma

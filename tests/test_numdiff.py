@@ -82,6 +82,27 @@ def test_mixed_partials_match_analytic(order, logit_mixture, logit_mixture_table
         assert val == pytest.approx(truth, abs=2e-7, rel=2e-6)
 
 
+@pytest.fixture(scope="module")
+def smoothed_bundle_table3(smoothed_bundle):
+    model, beta = smoothed_bundle
+    return derivative_table(AsfEvaluator(model, beta), 3)
+
+
+# The FD entries of the smoothed bundle stay within 3.3e-11 (orders 1-2) and
+# 3.2e-7 (order 3) of the table's largest entry.
+@pytest.mark.parametrize("order, tol", [(1, 1e-9), (2, 1e-9), (3, 2e-6)])
+def test_bundle_mixed_partials_match_kernel_partials(
+    order, tol, smoothed_bundle, smoothed_bundle_table3
+):
+    model, beta = smoothed_bundle
+    table = smoothed_bundle_table3
+    partials = model.kernel.value_partials(order + 1)
+    largest = max(abs(v) for v in table.entries.values())
+    for k, idx, val in table.classes(order):
+        truth = partials[tuple(sorted(idx.goods + (k,)))] * true_moment(beta, idx)
+        assert abs(val - truth) <= tol * largest, (k, idx)
+
+
 def test_repeated_variable_third_derivative():
     # the third own-derivative of demand reads the fourth value-function
     # derivative: 2/9 * (1/9 - 4/9) = -2/27 at the symmetric outside-good point

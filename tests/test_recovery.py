@@ -243,7 +243,7 @@ def test_vderiv_convexity_guard():
 def test_vknown_route_matches_scale(logit_mixture, logit_mixture_table):
     model, beta = logit_mixture
     _, table = logit_mixture_table
-    v = VDerivTable(logit.vderiv_entries(model.alphas, 4, outside_good=True))
+    v = VDerivTable(model.kernel.value_partials(4))
     for order in (1, 2, 3):
         mv = recover_moments_vknown(table, v, order)
         ms = recover_moments_scale(table, order, 1.0)
@@ -255,7 +255,7 @@ def test_vknown_point_mass_products():
     model = LogitModel(dims=DIMS, alphas=(0.1, -0.3), outside_good=True)
     beta = DiscreteBeta(DIMS, [[1.5, 0.5]], [1.0])
     table = derivative_table(AsfEvaluator(model, beta), 2)
-    v = VDerivTable(logit.vderiv_entries(model.alphas, 3, outside_good=True))
+    v = VDerivTable(model.kernel.value_partials(3))
     mt = recover_moments_vknown(table, v, 2)
     for idx, val in mt.items():
         assert val == pytest.approx(true_moment(beta, idx), rel=1e-6)
@@ -382,7 +382,7 @@ def test_three_routes_agree_when_all_apply():
         (UnivariateAtoms((0.5, 1.5), (0.5, 0.5)), UnivariateAtoms((1.0, 3.0), (0.5, 0.5))),
     )
     table = derivative_table(AsfEvaluator(model, beta), 2)
-    v = VDerivTable(logit.vderiv_entries(model.alphas, 3, outside_good=True))
+    v = VDerivTable(model.kernel.value_partials(3))
     by_independence = recover_moments_independence(table, 2, 1.0)
     for order in (1, 2):
         scale = true_moment(beta, MomentIndex(((1, 1),) * order))

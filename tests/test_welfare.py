@@ -107,9 +107,7 @@ def test_taylor_with_supplied_derivatives_no_outside_good():
     # symmetric two-good simplex: V(u) - V(0) = log((exp(u1) + exp(u2)) / 2);
     # all third-order coefficients vanish at the center, so the order-3
     # Taylor value is the quadratic and still lands within 1e-4 at 0.1
-    from rcpum import logit
-
-    entries = logit.vderiv_entries(ALPHAS, 3, outside_good=False)
+    entries = LogitModel(dims=DIMS, alphas=ALPHAS).kernel.value_partials(3)
     tables = {o: VDerivTable({g: v for g, v in entries.items() if len(g) == o}) for o in (2, 3)}
     vmodel = TaylorVModel(gradient=np.array([0.5, 0.5]), tables=tables, trust_radius=0.35)
     truth = math.log((math.exp(0.1) + 1.0) / 2.0)
