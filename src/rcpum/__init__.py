@@ -20,6 +20,7 @@ from .distributions import (
     UnivariateAtoms,
     all_moment_indices,
     true_moment,
+    true_moments,
 )
 from .exceptions import (
     AnchorError,

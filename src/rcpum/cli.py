@@ -1,10 +1,19 @@
 """Declarative scenario runner.
 
 Parses a JSON configuration naming a model, a coefficient distribution, a
-finite-difference scheme, a recovery route, and optional welfare and
-diagnostics requests; runs the pipeline; writes machine-readable CSV tables
-plus a JSON summary.  Reports are byte-identical across runs with the same
-config and seed; wall-clock metadata goes to a separate file.
+finite-difference scheme, a recovery route, and an optional welfare
+request; runs the pipeline; and writes one file per kind of output:
+
+- ``moments.csv``: every recovered moment, one row each, sorted by order
+  and then index;
+- ``v_derivs.csv``: the value-function partials;
+- ``summary.json``: the config echo, the failure record and every result,
+  diagnostics and their relevance map included;
+- ``run_meta.json``: wall-clock data, per-stage seconds among them, and
+  work counters.
+
+The first three are byte-identical across runs with the same config and
+seed.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import sys
 import time
 import warnings
@@ -24,7 +34,7 @@ import numpy as np
 from . import __version__
 from .asf import AsfEvaluator
 from .diagnostics import build_report
-from .distributions import DiscreteBeta, ProductBeta, UnivariateAtoms, true_moment
+from .distributions import DiscreteBeta, ProductBeta, UnivariateAtoms, true_moments
 from .exceptions import (
     AnchorError,
     ConfigurationError,
@@ -94,6 +104,18 @@ def _integer(value, where):
     return int(value)
 
 
+def _number(value, where):
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{where} must be a number")
+    return float(value)
+
+
+def _numbers(values, where):
+    """A JSON array of numbers as a tuple of floats."""
+    return tuple(_number(v, where) for v in values)
+
+
 _MODEL_KEYS = {
     "logit": ("alphas", "outside_good", "index_form"),
     "bundle": ("scenarios", "lattice", "smoothing"),
@@ -116,12 +138,14 @@ def _build_model(block):
     dims = tuple(_integer(d, "model.dims[]") for d in block["dims"])
     common = dict(
         dims=dims,
-        center=np.asarray(block["center"], dtype=float) if block.get("center") is not None else None,
+        center=None
+        if block.get("center") is None
+        else _covariates(block["center"], sum(dims), "model.center"),
         nonnegative_domain=_flag(block, "nonnegative_domain", "model"),
     )
     if kind == "logit":
         return LogitModel(
-            alphas=tuple(float(a) for a in block.get("alphas", (0.0,) * len(dims))),
+            alphas=_numbers(block.get("alphas", (0.0,) * len(dims)), "model.alphas[]"),
             outside_good=_flag(block, "outside_good", "model"),
             index_form=block.get("index_form", "linear"),
             **common,
@@ -129,6 +153,7 @@ def _build_model(block):
     if kind == "bundle":
         scens = []
         pair = "model.scenarios[].complementarities[] goods"
+        quantity = "model bundle quantities"
         for s in block.get("scenarios", ()):
             _expect_keys(
                 s,
@@ -139,25 +164,27 @@ def _build_model(block):
             consideration = s.get("consideration")
             scens.append(
                 BundleScenario(
-                    weight=float(s["weight"]),
-                    intercepts=tuple(float(v) for v in s["intercepts"]),
+                    weight=_number(s["weight"], "model.scenarios[].weight"),
+                    intercepts=_numbers(s["intercepts"], "model.scenarios[].intercepts[]"),
                     complementarities=tuple(
-                        (_integer(j, pair), _integer(k, pair), float(v))
+                        (
+                            _integer(j, pair),
+                            _integer(k, pair),
+                            _number(v, "model.scenarios[].complementarities[] values"),
+                        )
                         for j, k, v in s.get("complementarities", ())
                     ),
                     consideration=None
                     if consideration is None
-                    else frozenset(tuple(float(q) for q in y) for y in consideration),
+                    else frozenset(_numbers(y, quantity) for y in consideration),
                 )
             )
         lattice = block.get("lattice")
         smoothing = block.get("smoothing")
-        if isinstance(smoothing, bool):
-            raise ConfigurationError("model.smoothing must be a number or null")
         return BundleModel(
             scenarios=tuple(scens),
-            lattice=None if lattice is None else tuple(tuple(float(q) for q in y) for y in lattice),
-            smoothing=None if smoothing is None else float(smoothing),
+            lattice=None if lattice is None else tuple(_numbers(y, quantity) for y in lattice),
+            smoothing=None if smoothing is None else _number(smoothing, "model.smoothing"),
             **common,
         )
     tables = []
@@ -165,13 +192,13 @@ def _build_model(block):
         tables.append(
             {
                 tuple(json.loads(k) if isinstance(k, str) else k): (
-                    EXCLUDED if v is None else float(v)
+                    EXCLUDED if v is None else _number(v, "model.tables[] values")
                 )
                 for k, v in tab.items()
             }
         )
     return TabulatedModel(
-        weights=tuple(float(w) for w in block.get("weights", ())),
+        weights=_numbers(block.get("weights", ()), "model.weights[]"),
         tables=tuple(tables),
         **common,
     )
@@ -183,10 +210,15 @@ def _build_beta(block, dims):
     )
     kind = block["type"]
     if kind == "discrete":
-        return DiscreteBeta(dims, block["points"], block["weights"])
+        points = [_numbers(p, "beta.points[][]") for p in block["points"]]
+        return DiscreteBeta(dims, points, _numbers(block["weights"], "beta.weights[]"))
     if kind == "product":
         marginals = tuple(
-            UnivariateAtoms(tuple(m["values"]), tuple(m["weights"])) for m in block["marginals"]
+            UnivariateAtoms(
+                _numbers(m["values"], "beta.marginals[].values[]"),
+                _numbers(m["weights"], "beta.marginals[].weights[]"),
+            )
+            for m in block["marginals"]
         )
         return ProductBeta(dims, marginals)
     raise ConfigurationError(f"unknown beta distribution type {kind!r}")
@@ -198,7 +230,9 @@ def _build_scheme(block):
     _expect_keys(block, "fd", optional=("kind", "base_step", "richardson_levels"))
     return FdScheme(
         kind=block.get("kind", "central"),
-        base_step=None if block.get("base_step") is None else float(block["base_step"]),
+        base_step=None
+        if block.get("base_step") is None
+        else _number(block["base_step"], "fd.base_step"),
         richardson_levels=None
         if block.get("richardson_levels") is None
         else _integer(block["richardson_levels"], "fd.richardson_levels"),
@@ -214,8 +248,8 @@ def _optional_object(block, key, where):
 
 def _covariates(value, n, where):
     try:
-        x = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        x = np.array(_numbers(value, where))
+    except TypeError:
         x = None
     if x is None or x.shape != (n,) or not np.all(np.isfinite(x)):
         raise ConfigurationError(f"{where} must be a finite numeric vector of length {n}")
@@ -237,7 +271,7 @@ def _parse_welfare(block, n):
         raise ConfigurationError(f"welfare.weighting must be one of {list(WEIGHTINGS)}")
     radius = block.get("trust_radius")
     if radius is not None:
-        radius = float(radius)
+        radius = _number(radius, "welfare.trust_radius")
         if not 0 < radius < np.inf:
             raise ConfigurationError("welfare.trust_radius must be positive and finite")
     return {
@@ -290,21 +324,25 @@ def parse_config(raw):
     max_order = _integer(rec["max_order"], "recovery.max_order")
     if max_order < 1:
         raise ConfigurationError("recovery.max_order must be >= 1")
-    scales = {int(k): float(v) for k, v in _optional_object(rec, "scales", "recovery").items()}
+    scales = {
+        int(k): _number(v, f"recovery.scales[{k}]")
+        for k, v in _optional_object(rec, "scales", "recovery").items()
+    }
     if route == "scale":
         for m in range(1, max_order + 1):
             if not np.isfinite(scales.get(m, np.nan)) or scales[m] == 0:
                 raise ConfigurationError(
                     f"scale route needs a finite nonzero recovery.scales[{m}]"
                 )
-    abs_mean = None if rec.get("abs_mean") is None else float(rec["abs_mean"])
+    abs_mean = rec.get("abs_mean")
+    abs_mean = None if abs_mean is None else _number(abs_mean, "recovery.abs_mean")
     if route == "independence" and not (abs_mean is not None and 0 < abs_mean < np.inf):
         raise ConfigurationError("independence route needs a positive finite recovery.abs_mean")
     v_derivs = None
     if rec.get("v_derivs") is not None:
         v_derivs = VDerivTable(
             {
-                tuple(int(g) for g in k.split(",")): float(v)
+                tuple(int(g) for g in k.split(",")): _number(v, f"recovery.v_derivs[{k}]")
                 for k, v in _optional_object(rec, "v_derivs", "recovery").items()
             }
         )
@@ -316,7 +354,7 @@ def parse_config(raw):
         if model.kernel.sigma is None:
             raise ConfigurationError(f"{need} hard-argmax {raw['model']['type']} model")
         v_derivs = VDerivTable(model.kernel.value_partials(max_order + 1))
-    tau_rel = float(rec.get("tau_rel", DEFAULT_TAU_REL))
+    tau_rel = _number(rec.get("tau_rel", DEFAULT_TAU_REL), "recovery.tau_rel")
     if not 0 < tau_rel < np.inf:
         raise ConfigurationError("recovery.tau_rel must be positive and finite")
 
@@ -366,16 +404,6 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _moment_rows(table, truths):
-    rows = []
-    for idx, rec in table.items():
-        tru = truths[idx]
-        abs_err = abs(rec - tru)
-        rel_err = abs_err / abs(tru) if tru != 0 else float("inf")
-        rows.append((str(idx), _fmt(rec), _fmt(tru), _fmt(abs_err), _fmt(rel_err), table.route))
-    return rows
-
-
 def _recover(config, table):
     """Run the configured route, tolerating per-order failures.
 
@@ -421,9 +449,27 @@ def _failure_record(stage, exc):
     return {"stage": stage, "error": type(exc).__name__, "message": str(exc)}
 
 
+STAGES = ("parse", "table", "recovery", "v_derivatives", "welfare", "diagnostics", "reports")
+
+
+class _StageClock:
+    """Wall seconds per pipeline stage; each lap is charged to the stage
+    that just ended."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(STAGES, 0.0)
+        self._last = time.perf_counter()
+
+    def lap(self, stage):
+        now = time.perf_counter()
+        self.seconds[stage] += now - self._last
+        self._last = now
+
+
 def run(config_path, out_dir, seed=None, max_order=None, scheme=None, route=None):
     """Execute one scenario; returns the process exit code."""
     started = time.time()
+    clock = _StageClock()
     try:
         raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -444,11 +490,9 @@ def run(config_path, out_dir, seed=None, max_order=None, scheme=None, route=None
     except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    clock.lap("parse")
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     evaluator = config.evaluator
-
     failure = None
     moment_tables = {}
     v_table = None
@@ -458,24 +502,28 @@ def run(config_path, out_dir, seed=None, max_order=None, scheme=None, route=None
         table = derivative_table(evaluator, config.max_order, config.scheme)
     except _RUN_FAILURES as exc:
         failure = _failure_record("derivative_table", exc)
+    clock.lap("table")
 
     if table is not None:
         moment_tables, failure = _recover(config, table)
+    clock.lap("recovery")
 
     all_moments = {}
     for mt in moment_tables.values():
-        all_moments.update(dict(mt.items()))
+        all_moments.update(mt.entries)
     if table is not None and all_moments:
         try:
             v_table = recover_v_derivatives(table, all_moments, config.tau_rel)
         except _RUN_FAILURES as exc:
             failure = failure or _failure_record("v_derivatives", exc)
+    clock.lap("v_derivatives")
 
     if config.welfare is not None and v_table is not None and failure is None:
         try:
             welfare_out = _run_welfare(config, evaluator, v_table)
         except _RUN_FAILURES + (ConfigurationError,) as exc:
             failure = _failure_record("welfare", exc)
+    clock.lap("welfare")
 
     report = None
     if table is not None:
@@ -496,14 +544,19 @@ def run(config_path, out_dir, seed=None, max_order=None, scheme=None, route=None
             relevance=relevance,
             tau_rel=config.tau_rel,
         )
+    clock.lap("diagnostics")
 
+    out = Path(out_dir)
     _write_reports(out, config, evaluator, moment_tables, v_table, welfare_out, report, failure)
+    clock.lap("reports")
     meta = {
         "started_unix": started,
         "elapsed_seconds": time.time() - started,
+        "stage_seconds": clock.seconds,
         "asf_points": evaluator.points_evaluated,
         "asf_batches": evaluator.kernel_calls,
         "stencil_nodes": 0 if table is None else table.stencil_nodes,
+        "table_classes": 0 if table is None else len(table.entries) // len(table.dims),
     }
     (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
     return 2 if failure is not None else 0
@@ -547,25 +600,47 @@ def _run_welfare(config, evaluator, v_table):
     return out
 
 
-def _write_reports(out, config, evaluator, moment_tables, v_table, welfare_out, report, failure):
-    truths = {
-        order: {idx: true_moment(config.beta, idx) for idx in mt.entries}
-        for order, mt in moment_tables.items()
-    }
+def _moment_rows(config, moment_tables):
+    """Per order, the (label, recovered, true) triple of each moment, in
+    index order; every moment report is rendered from these."""
+    rows = {}
     for order, mt in sorted(moment_tables.items()):
+        items = mt.items()
+        truths = true_moments(config.beta, [idx for idx, _ in items])
+        rows[order] = [(idx.label, float(v), t) for (idx, v), t in zip(items, truths)]
+    return rows
+
+
+def _write_reports(out, config, evaluator, moment_tables, v_table, welfare_out, report, failure):
+    """Write moments.csv (when an order was recovered), v_derivs.csv (when
+    the value-function partials were), and summary.json."""
+    out.mkdir(parents=True, exist_ok=True)
+    moment_rows = _moment_rows(config, moment_tables)
+    if moment_rows:
+        lines = []
+        for order, rows in moment_rows.items():
+            route = moment_tables[order].route
+            for label, rec, tru in rows:
+                abs_err = abs(rec - tru)
+                rel_err = abs_err / abs(tru) if tru != 0 else float("inf")
+                lines.append(
+                    (order, label, _fmt(rec), _fmt(tru), _fmt(abs_err), _fmt(rel_err), route)
+                )
         _write_csv(
-            out / f"moments_order{order}.csv",
-            ("index", "recovered", "true", "abs_err", "rel_err", "route"),
-            _moment_rows(mt, truths[order]),
+            out / "moments.csv",
+            ("order", "index", "recovered", "true", "abs_err", "rel_err", "route"),
+            lines,
         )
+    v_rows = [
+        (",".join(map(str, g)), v, v_table.discrepancies.get(g, 0.0))
+        for g, v in (v_table.items() if v_table is not None else ())
+    ]
     if v_table is not None:
-        rows = [
-            (",".join(map(str, gamma)), _fmt(v), _fmt(v_table.discrepancies.get(gamma, 0.0)))
-            for gamma, v in v_table.items()
-        ]
-        _write_csv(out / "v_derivs.csv", ("index", "value", "split_spread"), rows)
-    if report is not None:
-        _write_csv(out / "diagnostics.csv", ("statistic", "value"), report.as_rows())
+        _write_csv(
+            out / "v_derivs.csv",
+            ("index", "value", "split_spread"),
+            [(label, _fmt(v), _fmt(spread)) for label, v, spread in v_rows],
+        )
 
     summary = {
         "version": __version__,
@@ -575,27 +650,15 @@ def _write_reports(out, config, evaluator, moment_tables, v_table, welfare_out, 
             "asf_center": [float(v) for v in evaluator.asf(config.model.center)],
             "moments": {
                 str(order): {
-                    "route": mt.route,
-                    "entries": {str(i): float(v) for i, v in mt.items()},
-                    "true": {str(i): float(truths[order][i]) for i, _ in mt.items()},
+                    "route": moment_tables[order].route,
+                    "entries": {label: rec for label, rec, _ in rows},
+                    "true": {label: tru for label, _, tru in rows},
                 }
-                for order, mt in sorted(moment_tables.items())
+                for order, rows in moment_rows.items()
             },
-            "v_derivatives": {
-                ",".join(map(str, g)): float(v) for g, v in (v_table.items() if v_table else [])
-            },
+            "v_derivatives": {label: v for label, v, _ in v_rows},
             "welfare": welfare_out,
-            "diagnostics": None
-            if report is None
-            else {
-                "cauchy_schwarz_stat": None
-                if report.cauchy_schwarz_stat is None
-                else float(report.cauchy_schwarz_stat),
-                "overid_residual": report.overid_residual,
-                "overid_dof": report.overid_dof,
-                "sign_beta11": report.sign_beta11,
-                "complementarity_signs": report.complementarity_signs,
-            },
+            "diagnostics": None if report is None else report.as_dict(),
         },
     }
     (out / "summary.json").write_text(

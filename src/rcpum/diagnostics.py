@@ -32,22 +32,26 @@ class DiagnosticsReport:
     sign_beta11: str
     complementarity_signs: list | None
 
-    def as_rows(self):
-        """Flat (statistic, value) rows for reporting."""
-        rows = []
-        if self.cauchy_schwarz_stat is not None:
-            rows.append(("cauchy_schwarz_stat", f"{self.cauchy_schwarz_stat:.17g}"))
-        if self.overid_residual is not None:
-            rows.append(("overid_residual", f"{self.overid_residual:.17g}"))
-        rows.append(("overid_dof", str(self.overid_dof)))
-        rows.append(("sign_beta11", self.sign_beta11))
-        if self.complementarity_signs is not None:
-            for j, row in enumerate(self.complementarity_signs, start=1):
-                for k, s in enumerate(row, start=1):
-                    rows.append((f"complementarity_sign_{j}_{k}", str(s)))
-        for gamma, (k, idx, mag) in sorted(self.relevance_map.items()):
-            rows.append((f"relevance_{'_'.join(map(str, gamma))}", f"k={k};{idx};{mag:.17g}"))
-        return rows
+    def as_dict(self):
+        """The report as JSON-ready values; the relevance map is keyed by
+        the comma-joined good tuple."""
+        return {
+            "cauchy_schwarz_stat": None
+            if self.cauchy_schwarz_stat is None
+            else float(self.cauchy_schwarz_stat),
+            "overid_residual": self.overid_residual,
+            "overid_dof": self.overid_dof,
+            "sign_beta11": self.sign_beta11,
+            "complementarity_signs": self.complementarity_signs,
+            "relevance": {
+                ",".join(map(str, gamma)): {
+                    "component": k,
+                    "index": None if idx is None else str(idx),
+                    "magnitude": float(mag),
+                }
+                for gamma, (k, idx, mag) in self.relevance_map.items()
+            },
+        }
 
 
 def cauchy_schwarz_check(table, tau_rel=DEFAULT_TAU_REL):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,16 +45,25 @@ class MomentIndex:
     """Canonical name of one product moment of the slope coefficients.
 
     ``pairs`` is a sorted tuple of (good, char) pairs; two indices naming the
-    same product compare equal regardless of construction order.
+    same product compare equal regardless of construction order.  ``goods``
+    (the sorted good indices, with multiplicity) and ``label`` (as in
+    ``'b1.1*b2.1'``) are derived once, at construction.
     """
 
     pairs: tuple[tuple[int, int], ...]
+    goods: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(sorted(tuple(p) for p in self.pairs)))
-        for g, c in self.pairs:
+        pairs = tuple(sorted(tuple(p) for p in self.pairs))
+        for g, c in pairs:
             if g < 1 or c < 1:
                 raise ConfigurationError(f"indices must be 1-based, got ({g},{c})")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "goods", tuple(sorted(g for g, _ in pairs)))
+        object.__setattr__(
+            self, "label", "*".join(f"b{g}.{c}" for g, c in pairs) if pairs else "1"
+        )
 
     @classmethod
     def of(cls, *pairs):
@@ -64,20 +73,12 @@ class MomentIndex:
     def order(self):
         return len(self.pairs)
 
-    @property
-    def goods(self):
-        """Sorted tuple of good indices, with multiplicity."""
-        return tuple(sorted(g for g, _ in self.pairs))
-
     def validate(self, dims):
         for g, c in self.pairs:
             flat_position(dims, g, c)
 
-    def label(self):
-        return "*".join(f"b{g}.{c}" for g, c in self.pairs) if self.pairs else "1"
-
     def __str__(self):
-        return self.label()
+        return self.label
 
 
 def _check_weights(weights):
@@ -192,6 +193,22 @@ def support_arrays(dist):
 def true_moment(dist, idx: MomentIndex) -> float:
     """Exact moment of the coefficient product named by ``idx``."""
     return dist.moment(idx)
+
+
+def true_moments(dist, indices):
+    """Exact moments of ``indices``, all of one order, as a list of floats.
+
+    A ``DiscreteBeta`` takes every product in one pass over its support;
+    other distributions are asked index by index.
+    """
+    indices = tuple(indices)
+    if not isinstance(dist, DiscreteBeta) or not indices:
+        return [dist.moment(idx) for idx in indices]
+    cols = np.asarray(
+        [[flat_position(dist.dims, g, c) for g, c in idx.pairs] for idx in indices], dtype=np.intp
+    )
+    products = np.prod(dist.points[:, cols], axis=2)  # (support, indices)
+    return (dist.weights @ products).tolist()
 
 
 def all_moment_indices(dims, order):

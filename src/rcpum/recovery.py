@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,7 +318,7 @@ def recover_v_derivatives(table, moments, tau_rel=DEFAULT_TAU_REL):
     entries = {}
     spread = {}
     for gamma, cands in by_gamma.items():
-        entries[gamma] = float(np.mean(cands))
+        entries[gamma] = math.fsum(cands) / len(cands)
         spread[gamma] = float(max(cands) - min(cands)) if len(cands) > 1 else 0.0
     try:
         return VDerivTable(entries=entries, discrepancies=spread)
@@ -337,7 +338,7 @@ def recover_moments_vknown(table, v_derivs, order, tau_rel=DEFAULT_TAU_REL):
         if not np.isfinite(dv) or abs(dv) <= tau_rel:
             raise PreconditionError(f"supplied value-function derivative {gamma} is zero")
         groups.setdefault(idx, []).append(val / dv)
-    entries = {idx: float(np.mean(vals)) for idx, vals in groups.items()}
+    entries = {idx: math.fsum(vals) / len(vals) for idx, vals in groups.items()}
     return MomentTable(order=order, entries=entries, route="vknown")
 
 

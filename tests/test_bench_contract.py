@@ -4,12 +4,13 @@ here rather than silently break ``bench/run.py``.  The benchmark's files are
 read, never changed."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from rcpum.cli import parse_config
+from rcpum.cli import parse_config, run
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -55,3 +56,15 @@ def test_install_wraps_and_restores_every_target(tracing):
             raise RuntimeError("inside the traced block")
     for (owner, attr, _, _), fn in zip(tracing._TARGETS, originals):
         assert getattr(owner, attr) is fn, attr
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in BUNDLED_CONFIGS.glob("*.json")))
+def test_oracle_accepts_bundled_reports(tmp_path, name):
+    # the benchmark's correctness gate reads the reports the CLI writes
+    oracle = _load("oracle")
+    config = json.loads((BUNDLED_CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+    out = tmp_path / name
+    assert run(BUNDLED_CONFIGS / f"{name}.json", out) == 0
+    problems, moment_err, _ = oracle.check(oracle.Truth(config), config, out)
+    assert problems == []
+    assert moment_err is not None

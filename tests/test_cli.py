@@ -1,12 +1,20 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from rcpum import ConfigurationError, cli, recovery
+from rcpum import (
+    ConfigurationError,
+    all_moment_indices,
+    chain_ratios,
+    cli,
+    derivative_table,
+    recovery,
+)
 from rcpum.cli import main, parse_config, resolve_config_path, run
 from rcpum.models import LogitModel
 
@@ -33,9 +41,51 @@ def test_bundled_logit_scenario_runs_clean(tmp_path):
     assert m2["b1.1*b1.1"] == pytest.approx(1.0, rel=1e-4)
     assert m2["b1.1*b2.1"] == pytest.approx(2.0, rel=1e-4)
     assert m2["b2.1*b2.1"] == pytest.approx(5.0, rel=1e-4)
-    assert (tmp_path / "out" / "moments_order3.csv").exists()
+    assert (tmp_path / "out" / "moments.csv").exists()
     assert (tmp_path / "out" / "v_derivs.csv").exists()
-    assert (tmp_path / "out" / "diagnostics.csv").exists()
+    assert summary["results"]["diagnostics"]["relevance"]
+
+
+def test_clean_run_writes_four_reports(tmp_path):
+    out = tmp_path / "out"
+    assert run(bundled("logit_k2_mixture"), out) == 0
+    assert {p.name for p in out.iterdir()} == {
+        "moments.csv",
+        "v_derivs.csv",
+        "summary.json",
+        "run_meta.json",
+    }
+    with open(out / "moments.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["order", "index", "recovered", "true", "abs_err", "rel_err", "route"]
+    raw = json.loads(bundled("logit_k2_mixture").read_text())
+    n_coefs, max_order = sum(raw["model"]["dims"]), raw["recovery"]["max_order"]
+    assert len(rows) - 1 == sum(math.comb(n_coefs + m - 1, m) for m in range(1, max_order + 1))
+    # one row per moment, by order and then index, carrying summary.json's values
+    moments = json.loads((out / "summary.json").read_text())["results"]["moments"]
+    expected = [
+        [str(m), idx, f"{block['entries'][idx]:.17g}", f"{block['true'][idx]:.17g}"]
+        for m, block in ((m, moments[str(m)]) for m in range(1, max_order + 1))
+        for idx in map(str, all_moment_indices(tuple(raw["model"]["dims"]), m))
+    ]
+    assert [row[:4] for row in rows[1:]] == expected
+
+
+def test_summary_relevance_is_the_chain_map(tmp_path):
+    out = tmp_path / "out"
+    assert run(bundled("logit_k2_mixture"), out) == 0
+    config = parse_config(json.loads(bundled("logit_k2_mixture").read_text()))
+    table = derivative_table(config.evaluator, config.max_order, config.scheme)
+    expected = {}
+    for order in range(1, config.max_order + 1):
+        for gamma, (k, idx, mag) in chain_ratios(table, order, config.tau_rel).relevance.items():
+            expected[",".join(map(str, gamma))] = {
+                "component": k,
+                "index": str(idx),
+                "magnitude": mag,
+            }
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["results"]["diagnostics"]["relevance"] == expected
 
 
 def test_main_entrypoint(tmp_path):
@@ -105,6 +155,12 @@ def test_run_meta_counts_asf_work(tmp_path):
         assert isinstance(meta[key], int) and meta[key] > 0, key
     # the cache serves repeated nodes, and one kernel call serves many points
     assert meta["asf_batches"] < meta["asf_points"] < meta["stencil_nodes"]
+    # dims (1, 1) to order 2: 2 + 3 derivative classes
+    assert meta["table_classes"] == 5
+    stages = meta["stage_seconds"]
+    assert set(stages) == set(cli.STAGES)
+    assert all(isinstance(v, float) and v >= 0 for v in stages.values())
+    assert stages["table"] > 0 and stages["reports"] > 0
 
 
 def test_v_derivs_csv_has_three_fields_per_row(tmp_path):
@@ -130,9 +186,9 @@ def test_config_echo_round_trip(tmp_path):
 
 def test_csv_column_order(tmp_path):
     run(bundled("logit_k2_homogeneous"), tmp_path / "out", max_order=1)
-    header = (tmp_path / "out" / "moments_order1.csv").read_text().splitlines()[0]
-    assert header == "index,recovered,true,abs_err,rel_err,route"
-    for line in (tmp_path / "out" / "moments_order1.csv").read_text().splitlines():
+    header = (tmp_path / "out" / "moments.csv").read_text().splitlines()[0]
+    assert header == "order,index,recovered,true,abs_err,rel_err,route"
+    for line in (tmp_path / "out" / "moments.csv").read_text().splitlines():
         assert not line.endswith("\r")
 
 
@@ -278,6 +334,19 @@ def _set(path, value, *more):
         ("bundle_k2_smoothed", _set(("model", "smoothing"), True)),
         ("bundle_k2_smoothed", _set(("model", "smoothing"), float("nan"))),
         ("bundle_k2_smoothed", _set(("model", "smoothing"), float("inf"))),
+        ("logit_k2_homogeneous", _set(("welfare", "trust_radius"), True)),
+        ("logit_k2_mixture", _set(("recovery", "tau_rel"), True)),
+        ("logit_k2_mixture", _set(("fd", "base_step"), True)),
+        ("independence_k2", _set(("recovery", "abs_mean"), True)),
+        ("logit_k2_mixture", _set(("recovery", "scales", "2"), True)),
+        ("logit_k2_mixture", _set(("model", "center"), [True, 0.0])),
+        ("logit_k2_mixture", _set(("welfare", "points"), [[True, 0.0]])),
+        ("logit_k2_mixture", _set(("welfare", "points"), [["0.1", 0.0]])),
+        ("logit_k2_mixture", _set(("beta", "points"), [[True, 1.0], [1.0, 3.0]])),
+        (
+            "independence_k2",
+            _set(("beta", "marginals"), [{"values": [True, 2.0], "weights": [0.5, 0.5]}] * 2),
+        ),
     ],
     ids=[
         "scales_list",
@@ -310,6 +379,16 @@ def _set(path, value, *more):
         "smoothing_boolean",
         "smoothing_nan",
         "smoothing_infinite",
+        "trust_radius_boolean",
+        "tau_rel_boolean",
+        "base_step_boolean",
+        "abs_mean_boolean",
+        "scale_boolean",
+        "center_boolean",
+        "welfare_point_boolean",
+        "welfare_point_string",
+        "beta_point_boolean",
+        "marginal_value_boolean",
     ],
 )
 def test_invalid_config_exits_one(tmp_path, capsys, name, edit):

@@ -72,8 +72,9 @@ def test_build_report_assembles(logit_mixture_table):
     assert report.cauchy_schwarz_stat == pytest.approx(1.25, rel=1e-5)
     assert report.sign_beta11 == "+"
     assert report.complementarity_signs[0][1] == -1
-    rows = report.as_rows()
-    assert any(name == "cauchy_schwarz_stat" for name, _ in rows)
+    block = report.as_dict()
+    assert block["cauchy_schwarz_stat"] == pytest.approx(1.25, rel=1e-5)
+    assert block["relevance"] == {"1": {"component": 1, "index": None, "magnitude": 0.2}}
 
 
 def test_cauchy_schwarz_needs_two_goods():

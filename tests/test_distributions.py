@@ -10,6 +10,7 @@ from rcpum import (
     UnivariateAtoms,
     all_moment_indices,
     true_moment,
+    true_moments,
 )
 
 DIMS = (1, 1)
@@ -100,3 +101,31 @@ def test_all_moment_indices_counts():
     assert len(all_moment_indices(DIMS, 2)) == 3
     assert len(all_moment_indices(DIMS, 3)) == 4
     assert len(all_moment_indices((2, 1), 2)) == 6
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        DiscreteBeta(
+            (2, 1),
+            [[1.0, 0.5, 2.0], [0.3, 1.5, -1.0], [-0.7, 2.5, 0.4]],
+            [0.25, 0.35, 0.4],
+        ),
+        ProductBeta(
+            (2, 1),
+            (
+                UnivariateAtoms((0.5, 1.5), (0.25, 0.75)),
+                UnivariateAtoms((-1.0, 3.0), (0.5, 0.5)),
+                UnivariateAtoms((0.2, 0.9, 1.7), (0.2, 0.3, 0.5)),
+            ),
+        ),
+    ],
+    ids=["discrete", "product"],
+)
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_true_moments_match_true_moment(dist, order):
+    indices = all_moment_indices(dist.dims, order)
+    got = true_moments(dist, indices)
+    assert len(got) == len(indices)
+    for idx, value in zip(indices, got):
+        assert value == pytest.approx(true_moment(dist, idx), rel=1e-15, abs=0), str(idx)
