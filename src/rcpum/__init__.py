@@ -19,7 +19,6 @@ from .distributions import (
     ProductBeta,
     UnivariateAtoms,
     all_moment_indices,
-    true_moment,
     true_moments,
 )
 from .exceptions import (

@@ -12,17 +12,17 @@ coefficient support at once:
     P = softmax((U + D) / sigma) or argmax mask of U + D   (per scenario)
     ybar = sum_t w_t P_t @ Y
 
-so the ASF makes one kernel call per batch of uncached covariate points
-(``asf_batch`` takes a whole stencil at once).  Exact evaluation is
-what the identification path uses.  A seeded Monte-Carlo fallback over
-disturbance scenarios exists behind the same interface but nothing in the
-acceptance path consumes randomness.
+so the ASF makes one kernel call per batch of covariate points
+(``asf_batch`` takes a whole stencil at once).  Nothing is cached: the
+derivative table's stencil plan already evaluates each distinct node once.
+Exact evaluation is what the identification path uses.  A seeded
+Monte-Carlo fallback over disturbance scenarios exists behind the same
+interface but nothing in the acceptance path consumes randomness.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 
 import numpy as np
 
@@ -64,10 +64,10 @@ def ybar_given_beta(model, x, beta):
 class AsfEvaluator:
     """Average structural function of a model under a coefficient mixture.
 
-    Evaluations are deterministic and cached; the cache is insert-only and
-    guarded by a lock so concurrent readers see consistent values.
-    ``points_evaluated`` counts the cache misses evaluated and
-    ``kernel_calls`` the kernel calls that evaluated them.
+    Evaluations are deterministic and hold no state beyond two work
+    counters: ``points_evaluated`` counts the covariate rows evaluated and
+    ``kernel_calls`` the kernel calls that evaluated them.  Values are safe
+    to compute from several threads; the counters are not synchronised.
     """
 
     def __init__(self, model, beta_dist, strategy="exact", n_draws=0, seed=None):
@@ -88,8 +88,6 @@ class AsfEvaluator:
         self.n_draws = n_draws
         self.seed = seed
         self._weights, self._points = support_arrays(beta_dist)
-        self._cache = {}
-        self._lock = threading.Lock()
         self.points_evaluated = 0
         self.kernel_calls = 0
 
@@ -119,35 +117,18 @@ class AsfEvaluator:
         p = _scenario_choices(self.model, x, beta)
         return np.einsum("...t,...tb,bk->...k", shares, p, self.model.kernel.Y)
 
-    def _rows(self, X):
-        """Cached ASF row of every row of X; the distinct misses are
-        evaluated in one kernel call."""
-        keys = [row.tobytes() for row in X]
-        with self._lock:
-            rows = [self._cache.get(key) for key in keys]
-        misses = {}
-        for i, (key, row) in enumerate(zip(keys, rows)):
-            if row is None:
-                misses.setdefault(key, i)
-        if not misses:
-            return rows
-        values = self._weights @ self.ybar_given_beta(X[list(misses.values())], self._points)
-        values.setflags(write=False)
-        with self._lock:
-            self.points_evaluated += len(misses)
-            self.kernel_calls += 1
-            fresh = {key: self._cache.setdefault(key, v) for key, v in zip(misses, values)}
-        return [fresh[key] if row is None else row for key, row in zip(keys, rows)]
-
     def asf(self, x):
         """Average structural function: mean demand over the full mixture."""
-        x = np.asarray(x, dtype=float)
-        return self._rows(x[None])[0]
+        return self.asf_batch(np.asarray(x, dtype=float)[None])[0]
 
     def asf_batch(self, X):
         """The ASF at every row of an (n, total_dim) covariate matrix, as an
-        (n, K) array; rows equal ``asf`` of the same point bitwise."""
+        (n, K) array from one kernel call; rows equal ``asf`` of the same
+        point bitwise."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ConfigurationError("asf_batch takes a matrix with one covariate point per row")
-        return np.array(self._rows(X))
+        values = self._weights @ self.ybar_given_beta(X, self._points)
+        self.points_evaluated += len(X)
+        self.kernel_calls += 1
+        return values

@@ -309,6 +309,11 @@ def parse_config(raw):
         optional=("fd", "welfare", "seed", "asf"),
     )
     model = _build_model(raw["model"])
+    if model.kernel.sigma is None:
+        raise ConfigurationError(
+            f"hard-argmax {raw['model']['type']} model: mean demand is piecewise constant, "
+            "so its derivatives at the center identify no moment"
+        )
     beta = _build_beta(raw["beta"], model.dims)
 
     rec = raw["recovery"]
@@ -347,12 +352,9 @@ def parse_config(raw):
             }
         )
     if route == "vknown" and v_derivs is None:
-        # the kernel's exact partials serve every smooth, linear-index model
-        need = "vknown route needs recovery.v_derivs for a"
+        # the kernel's exact partials serve every linear-index model
         if getattr(model, "index_form", "linear") != "linear":
-            raise ConfigurationError(f"{need} power-index logit")
-        if model.kernel.sigma is None:
-            raise ConfigurationError(f"{need} hard-argmax {raw['model']['type']} model")
+            raise ConfigurationError("vknown route needs recovery.v_derivs for a power-index logit")
         v_derivs = VDerivTable(model.kernel.value_partials(max_order + 1))
     tau_rel = _number(rec.get("tau_rel", DEFAULT_TAU_REL), "recovery.tau_rel")
     if not 0 < tau_rel < np.inf:
@@ -498,6 +500,8 @@ def run(config_path, out_dir, seed=None, max_order=None, scheme=None, route=None
     v_table = None
     welfare_out = None
     table = None
+    # mean demand at the center: the Taylor gradient and summary.json's asf_center
+    asf_center = evaluator.asf(config.model.center)
     try:
         table = derivative_table(evaluator, config.max_order, config.scheme)
     except _RUN_FAILURES as exc:
@@ -520,7 +524,7 @@ def run(config_path, out_dir, seed=None, max_order=None, scheme=None, route=None
 
     if config.welfare is not None and v_table is not None and failure is None:
         try:
-            welfare_out = _run_welfare(config, evaluator, v_table)
+            welfare_out = _run_welfare(config, evaluator, asf_center, v_table)
         except _RUN_FAILURES + (ConfigurationError,) as exc:
             failure = _failure_record("welfare", exc)
     clock.lap("welfare")
@@ -547,7 +551,7 @@ def run(config_path, out_dir, seed=None, max_order=None, scheme=None, route=None
     clock.lap("diagnostics")
 
     out = Path(out_dir)
-    _write_reports(out, config, evaluator, moment_tables, v_table, welfare_out, report, failure)
+    _write_reports(out, config, asf_center, moment_tables, v_table, welfare_out, report, failure)
     clock.lap("reports")
     meta = {
         "started_unix": started,
@@ -562,7 +566,7 @@ def run(config_path, out_dir, seed=None, max_order=None, scheme=None, route=None
     return 2 if failure is not None else 0
 
 
-def _run_welfare(config, evaluator, v_table):
+def _run_welfare(config, evaluator, asf_center, v_table):
     block = config.welfare
     model = config.model
     orders = sorted({len(g) for g in v_table.entries})
@@ -577,7 +581,7 @@ def _run_welfare(config, evaluator, v_table):
             default=1.0,
         )
     vmodel = TaylorVModel(
-        gradient=evaluator.asf(model.center),
+        gradient=asf_center,
         tables=tables,
         trust_radius=radius,
     )
@@ -611,7 +615,7 @@ def _moment_rows(config, moment_tables):
     return rows
 
 
-def _write_reports(out, config, evaluator, moment_tables, v_table, welfare_out, report, failure):
+def _write_reports(out, config, asf_center, moment_tables, v_table, welfare_out, report, failure):
     """Write moments.csv (when an order was recovered), v_derivs.csv (when
     the value-function partials were), and summary.json."""
     out.mkdir(parents=True, exist_ok=True)
@@ -647,7 +651,7 @@ def _write_reports(out, config, evaluator, moment_tables, v_table, welfare_out, 
         "config": config.echo,
         "failure": failure,
         "results": {
-            "asf_center": [float(v) for v in evaluator.asf(config.model.center)],
+            "asf_center": [float(v) for v in asf_center],
             "moments": {
                 str(order): {
                     "route": moment_tables[order].route,

@@ -190,11 +190,6 @@ def support_arrays(dist):
     )
 
 
-def true_moment(dist, idx: MomentIndex) -> float:
-    """Exact moment of the coefficient product named by ``idx``."""
-    return dist.moment(idx)
-
-
 def true_moments(dist, indices):
     """Exact moments of ``indices``, all of one order, as a list of floats.
 

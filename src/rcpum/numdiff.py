@@ -193,8 +193,8 @@ class StencilPlan:
             divisors.append(h ** len(combo))
             row_sizes += [len(offsets)] * len(h)
         disp = np.concatenate(displacements)
-        # distinct nodes in order of first request, equal bitwise as in the
-        # ASF cache
+        # distinct nodes (equal bitwise) in order of first request: the only
+        # deduplication, since the ASF evaluates every row it is given
         node_of = {}
         columns = np.array([node_of.setdefault(row.tobytes(), len(node_of)) for row in disp])
         offsets = np.empty((len(node_of), n_vars))

@@ -184,9 +184,10 @@ def path_integral_v(evaluator, x_init, x_final, n_nodes=PATH_NODES):
     Gauss-Legendre quadrature of the mean demand dotted with the segment
     direction, over the convex combination t * x_final + (1 - t) * x_init.
     Requires a unit coefficient on the first characteristic of each good and
-    segment endpoints that move only those characteristics.  The segment is
-    integrated in a canonical orientation so that swapping the endpoints
-    negates the result exactly.
+    segment endpoints that move only those characteristics.  Every node is
+    evaluated in one ``asf_batch`` call.  The segment is integrated in a
+    canonical orientation so that swapping the endpoints negates the result
+    exactly.
     """
     model = evaluator.model
     dims = model.dims
@@ -206,11 +207,9 @@ def path_integral_v(evaluator, x_init, x_final, n_nodes=PATH_NODES):
     first = _first_char_positions(dims)
     delta = np.array([x_final[p] - x_init[p] for p in first])
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    terms = []
-    for t, w in zip((nodes + 1.0) / 2.0, weights / 2.0):
-        x = t * x_final + (1.0 - t) * x_init
-        terms.append(w * float(np.dot(evaluator.asf(x), delta)))
-    return sign * math.fsum(terms)
+    t = (nodes[:, None] + 1.0) / 2.0
+    demand = evaluator.asf_batch(t * x_final + (1.0 - t) * x_init)
+    return sign * math.fsum(w * float(np.dot(d, delta)) for w, d in zip(weights / 2.0, demand))
 
 
 def average_indirect_utility(vmodel, model, beta_dist, x, weighting="unweighted"):

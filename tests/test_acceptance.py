@@ -33,7 +33,6 @@ from rcpum import (
     recover_moments_scale,
     recover_moments_vknown,
     recover_v_derivatives,
-    true_moment,
 )
 from rcpum.cli import resolve_config_path, run
 
@@ -47,7 +46,7 @@ def _ok(number, name):
 
 def worst_rel_err(moment_table, beta):
     return max(
-        abs(v - true_moment(beta, idx)) / abs(true_moment(beta, idx))
+        abs(v - beta.moment(idx)) / abs(beta.moment(idx))
         for idx, v in moment_table.items()
     )
 
@@ -84,7 +83,7 @@ def test_criterion_02_bundles_route(smoothed_bundle, smoothed_bundle_table):
     assert sum(1 for s in model.scenarios if s.consideration is not None) == 1
     assert len(beta.weights) == 4
     for m in (1, 2):
-        scale = true_moment(beta, MomentIndex(((1, 1),) * m))
+        scale = beta.moment(MomentIndex(((1, 1),) * m))
         recovered = recover_moments_scale(table, m, scale)
         assert worst_rel_err(recovered, beta) < 1e-3, f"order {m}"
     _ok(2, "bundles route")
@@ -123,7 +122,7 @@ def _overid(table, beta):
     """Over-identification residual and dof after scale-route recovery."""
     moments = {}
     for m in table.orders:
-        scale = true_moment(beta, MomentIndex(((1, 1),) * m))
+        scale = beta.moment(MomentIndex(((1, 1),) * m))
         moments.update(dict(recover_moments_scale(table, m, scale).items()))
     report = build_report(table, v_derivs=recover_v_derivatives(table, moments))
     return report.overid_residual, report.overid_dof

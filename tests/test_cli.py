@@ -17,6 +17,7 @@ from rcpum import (
 )
 from rcpum.cli import main, parse_config, resolve_config_path, run
 from rcpum.models import LogitModel
+from rcpum.numdiff import table_plan
 
 
 def bundled(name):
@@ -153,7 +154,7 @@ def test_run_meta_counts_asf_work(tmp_path):
     meta = json.loads((out / "run_meta.json").read_text())
     for key in ("asf_points", "asf_batches", "stencil_nodes"):
         assert isinstance(meta[key], int) and meta[key] > 0, key
-    # the cache serves repeated nodes, and one kernel call serves many points
+    # the plan evaluates each distinct node once, and one kernel call serves many points
     assert meta["asf_batches"] < meta["asf_points"] < meta["stencil_nodes"]
     # dims (1, 1) to order 2: 2 + 3 derivative classes
     assert meta["table_classes"] == 5
@@ -161,6 +162,15 @@ def test_run_meta_counts_asf_work(tmp_path):
     assert set(stages) == set(cli.STAGES)
     assert all(isinstance(v, float) and v >= 0 for v in stages.values())
     assert stages["table"] > 0 and stages["reports"] > 0
+    # one kernel call each for the center, the table and the one path segment
+    config = parse_config(json.loads(bundled("logit_k2_homogeneous").read_text()))
+    assert len(config.welfare["path_segments"]) == 1
+    out = tmp_path / "homogeneous"
+    assert run(bundled("logit_k2_homogeneous"), out) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    plan = table_plan(config.model.dims, config.max_order, config.scheme)
+    assert meta["asf_batches"] == 3
+    assert meta["asf_points"] == len(plan.offsets) + 1 + 32
 
 
 def test_v_derivs_csv_has_three_fields_per_row(tmp_path):
@@ -431,7 +441,7 @@ def test_vknown_route_reads_kernel_partials_on_smoothed_bundle(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "model, cause",
+    "model, message",
     [
         (
             {
@@ -440,27 +450,67 @@ def test_vknown_route_reads_kernel_partials_on_smoothed_bundle(tmp_path):
                 "weights": [1.0],
                 "tables": [{"[0, 0]": 0.0, "[1, 0]": 0.2, "[0, 1]": -0.1}],
             },
-            "hard-argmax tabulated",
+            "hard-argmax tabulated model: mean demand is piecewise constant, "
+            "so its derivatives at the center identify no moment",
         ),
         (
             {"type": "bundle", "dims": [1, 1], "scenarios": [{"weight": 1.0, "intercepts": [0, 1]}]},
-            "hard-argmax bundle",
+            "hard-argmax bundle model: mean demand is piecewise constant, "
+            "so its derivatives at the center identify no moment",
         ),
         (
             {"type": "logit", "dims": [1, 1], "index_form": "power", "center": [1.0, 1.0]},
-            "power-index logit",
+            "vknown route needs recovery.v_derivs for a power-index logit",
         ),
     ],
     ids=["tabulated", "hard_argmax_bundle", "power_index_logit"],
 )
-def test_vknown_without_v_derivs_names_the_cause(model, cause):
+def test_vknown_without_v_derivs_names_the_cause(model, message):
     raw = {
         "model": model,
         "beta": {"type": "discrete", "points": [[1.0, 1.0]], "weights": [1.0]},
         "recovery": {"route": "vknown", "max_order": 1},
     }
-    with pytest.raises(ConfigurationError, match=f"needs recovery.v_derivs for a {cause}"):
+    with pytest.raises(ConfigurationError, match=message):
         parse_config(raw)
+
+
+def test_hard_argmax_tie_at_center_exits_one(tmp_path, capsys):
+    # every bundle ties at the center, so finite differences straddle the
+    # jumps of a piecewise-constant mean demand and would report wrong moments
+    raw = {
+        "model": {
+            "type": "tabulated",
+            "dims": [1, 1],
+            "weights": [1.0],
+            "tables": [{"[0, 0]": 0.0, "[1, 0]": 0.0, "[0, 1]": 0.0}],
+        },
+        "beta": {"type": "discrete", "points": [[1.0, 1.0], [1.0, 3.0]], "weights": [0.5, 0.5]},
+        "recovery": {"route": "scale", "max_order": 2, "scales": {"1": 1.0, "2": 1.0}},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert run(cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "config error: hard-argmax tabulated model: mean demand is piecewise constant" in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_independence_route_keeps_orders_below_an_irrelevant_one(tmp_path):
+    # E[beta_2^3] = -8/9 + 8/9 = 0, so order 3 has no relevant entry
+    raw = json.loads(bundled("independence_k2").read_text())
+    raw["beta"]["marginals"][1] = {"values": [-2.0, 1.0], "weights": [1 / 9, 8 / 9]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run(cfg, out) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failure"]["error"] == "RelevanceError"
+    assert "(2, 2, 2)" in summary["failure"]["message"]
+    assert sorted(summary["results"]["moments"]) == ["1", "2"]
+    with open(out / "moments.csv", newline="", encoding="utf-8") as fh:
+        orders = {row["order"] for row in csv.DictReader(fh)}
+    assert orders == {"1", "2"}
 
 
 @pytest.mark.parametrize(

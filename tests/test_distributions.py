@@ -9,7 +9,6 @@ from rcpum import (
     ProductBeta,
     UnivariateAtoms,
     all_moment_indices,
-    true_moment,
     true_moments,
 )
 
@@ -28,8 +27,8 @@ def test_moment_index_canonical_form():
 @given(st.permutations([(1, 1), (2, 1), (2, 1), (1, 2)]))
 def test_moment_index_permutation_invariant(perm):
     dist = DiscreteBeta((2, 1), [[1.0, 0.5, 2.0], [0.3, 1.5, -1.0]], [0.5, 0.5])
-    base = true_moment(dist, MomentIndex.of((1, 1), (2, 1), (2, 1), (1, 2)))
-    assert true_moment(dist, MomentIndex(tuple(perm))) == base
+    base = dist.moment(MomentIndex.of((1, 1), (2, 1), (2, 1), (1, 2)))
+    assert dist.moment(MomentIndex(tuple(perm))) == base
 
 
 def test_moment_index_rejects_zero_based():
@@ -39,15 +38,15 @@ def test_moment_index_rejects_zero_based():
 
 def test_two_point_second_moment():
     dist = DiscreteBeta(DIMS, [[1.0, 1.0], [1.0, 3.0]], [0.5, 0.5])
-    assert true_moment(dist, MomentIndex.of((2, 1), (2, 1))) == pytest.approx(5.0)
-    assert true_moment(dist, MomentIndex.of((1, 1), (2, 1))) == pytest.approx(2.0)
+    assert dist.moment(MomentIndex.of((2, 1), (2, 1))) == pytest.approx(5.0)
+    assert dist.moment(MomentIndex.of((1, 1), (2, 1))) == pytest.approx(2.0)
 
 
 def test_point_mass_moments_are_one():
     dist = DiscreteBeta(DIMS, [[1.0, 1.0]], [1.0])
     for order in (1, 2, 3):
         for idx in all_moment_indices(DIMS, order):
-            assert true_moment(dist, idx) == pytest.approx(1.0)
+            assert dist.moment(idx) == pytest.approx(1.0)
 
 
 def test_product_moments_factorize():
@@ -55,11 +54,11 @@ def test_product_moments_factorize():
         DIMS,
         (UnivariateAtoms((0.5, 1.5), (0.5, 0.5)), UnivariateAtoms((1.0, 3.0), (0.5, 0.5))),
     )
-    m1 = true_moment(dist, MomentIndex.of((1, 1)))
-    m2 = true_moment(dist, MomentIndex.of((2, 1)))
-    cross = true_moment(dist, MomentIndex.of((1, 1), (2, 1)))
+    m1 = dist.moment(MomentIndex.of((1, 1)))
+    m2 = dist.moment(MomentIndex.of((2, 1)))
+    cross = dist.moment(MomentIndex.of((1, 1), (2, 1)))
     assert cross == pytest.approx(m1 * m2)
-    assert true_moment(dist, MomentIndex.of((1, 1), (1, 1))) == pytest.approx(1.25)
+    assert dist.moment(MomentIndex.of((1, 1), (1, 1))) == pytest.approx(1.25)
 
 
 def test_product_support_matches_moments():
@@ -69,7 +68,7 @@ def test_product_support_matches_moments():
     )
     idx = MomentIndex.of((1, 1), (2, 1), (2, 1))
     brute = sum(w * b[0] * b[1] * b[1] for w, b in dist.support())
-    assert true_moment(dist, idx) == pytest.approx(brute, rel=1e-14)
+    assert dist.moment(idx) == pytest.approx(brute, rel=1e-14)
 
 
 def test_weight_validation():
@@ -91,9 +90,9 @@ def test_dimension_validation():
 def test_moment_index_bounds_checked_against_dims():
     dist = DiscreteBeta(DIMS, [[1.0, 1.0]], [1.0])
     with pytest.raises(ConfigurationError):
-        true_moment(dist, MomentIndex.of((3, 1)))
+        dist.moment(MomentIndex.of((3, 1)))
     with pytest.raises(ConfigurationError):
-        true_moment(dist, MomentIndex.of((1, 2)))
+        dist.moment(MomentIndex.of((1, 2)))
 
 
 def test_all_moment_indices_counts():
@@ -128,4 +127,4 @@ def test_true_moments_match_true_moment(dist, order):
     got = true_moments(dist, indices)
     assert len(got) == len(indices)
     for idx, value in zip(indices, got):
-        assert value == pytest.approx(true_moment(dist, idx), rel=1e-15, abs=0), str(idx)
+        assert value == pytest.approx(dist.moment(idx), rel=1e-15, abs=0), str(idx)

@@ -15,7 +15,6 @@ from rcpum import (
     MomentIndex,
     derivative_table,
     mixed_partial,
-    true_moment,
 )
 from rcpum import logit
 from rcpum.numdiff import fd_weights, richardson, stencil, table_plan
@@ -70,7 +69,7 @@ def test_flat_asf_all_zero():
 
 def analytic_entry(alphas, outside, beta_dist, k, idx):
     gamma = tuple(sorted(idx.goods + (k,)))
-    return logit.derivative(alphas, (0.0, 0.0), gamma, outside) * true_moment(beta_dist, idx)
+    return logit.derivative(alphas, (0.0, 0.0), gamma, outside) * beta_dist.moment(idx)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -99,7 +98,7 @@ def test_bundle_mixed_partials_match_kernel_partials(
     partials = model.kernel.value_partials(order + 1)
     largest = max(abs(v) for v in table.entries.values())
     for k, idx, val in table.classes(order):
-        truth = partials[tuple(sorted(idx.goods + (k,)))] * true_moment(beta, idx)
+        truth = partials[tuple(sorted(idx.goods + (k,)))] * beta.moment(idx)
         assert abs(val - truth) <= tol * largest, (k, idx)
 
 
@@ -301,10 +300,12 @@ def test_table_makes_one_asf_batch_per_table(smoothed_bundle):
     table = derivative_table(ev, 3)
     # one batch over the distinct nodes serves every class and every good
     assert ev.batches == [1]
-    assert table.stencil_nodes > ev.points_evaluated
+    # the plan's distinct nodes, fewer than the stencils request
+    plan = table_plan(model.dims, 3, FdScheme())
+    assert ev.points_evaluated == len(plan.offsets) < table.stencil_nodes
     again = derivative_table(ev, 3)
-    # a warm evaluator serves the second table from its cache
-    assert ev.batches == [1, 0]
+    # a second table evaluates its nodes again, in one more kernel call
+    assert ev.batches == [1, 1]
     assert again.entries == table.entries
 
 

@@ -23,7 +23,6 @@ from rcpum import (
     recover_moments_vknown,
     recover_v_derivatives,
     same_good_ratios,
-    true_moment,
 )
 from rcpum import logit
 
@@ -95,9 +94,9 @@ def test_chain_ratios_same_good_fanout_single_good():
     beta = DiscreteBeta(dims, [[1.0, 0.5], [1.0, 2.0]], [0.5, 0.5])
     table = derivative_table(AsfEvaluator(model, beta), 2)
     chain = chain_ratios(table, 2)
-    ref_val = true_moment(beta, chain.reference)
+    ref_val = beta.moment(chain.reference)
     for idx, r in chain.ratios.items():
-        assert r == pytest.approx(true_moment(beta, idx) / ref_val, rel=1e-5, abs=1e-8)
+        assert r == pytest.approx(beta.moment(idx) / ref_val, rel=1e-5, abs=1e-8)
 
 
 def test_chain_ratios_relevance_failure():
@@ -127,7 +126,7 @@ def test_chain_path_independence_three_goods():
     via_2 = step((1, 2), 1, (1, 1), 2) * step((2, 3), 1, (1, 2), 3)
     via_3 = step((1, 3), 1, (1, 1), 3) * step((2, 3), 1, (1, 3), 2)
     assert via_2 == pytest.approx(via_3, rel=1e-8)
-    truth = true_moment(beta, idx[(2, 3)]) / true_moment(beta, idx[(1, 1)])
+    truth = beta.moment(idx[(2, 3)]) / beta.moment(idx[(1, 1)])
     assert via_2 == pytest.approx(truth, rel=1e-6)
 
 
@@ -177,7 +176,7 @@ def test_independence_route_positive_mean():
     tables = recover_moments_independence(table, 3, 1.0)
     for order, mt in tables.items():
         for idx, v in mt.items():
-            assert v == pytest.approx(true_moment(beta, idx), rel=1e-3)
+            assert v == pytest.approx(beta.moment(idx), rel=1e-3)
     assert tables[1][MomentIndex.of((1, 1))] == pytest.approx(1.0, rel=1e-6)
     assert tables[2][MomentIndex.of((1, 1), (1, 1))] == pytest.approx(1.25, rel=1e-4)
 
@@ -194,7 +193,7 @@ def test_independence_route_negative_mean():
     assert tables[1][MomentIndex.of((1, 1))] == pytest.approx(-1.0, rel=1e-6)
     for order, mt in tables.items():
         for idx, v in mt.items():
-            assert v == pytest.approx(true_moment(beta, idx), rel=1e-3)
+            assert v == pytest.approx(beta.moment(idx), rel=1e-3)
 
 
 def test_independence_degenerate_first_reduces_to_scale(logit_mixture, logit_mixture_table):
@@ -258,7 +257,7 @@ def test_vknown_point_mass_products():
     v = VDerivTable(model.kernel.value_partials(3))
     mt = recover_moments_vknown(table, v, 2)
     for idx, val in mt.items():
-        assert val == pytest.approx(true_moment(beta, idx), rel=1e-6)
+        assert val == pytest.approx(beta.moment(idx), rel=1e-6)
 
 
 def test_vknown_zero_derivative_rejected(logit_mixture_table):
@@ -274,9 +273,7 @@ def test_same_good_ratios_multiple_characteristics():
     beta = DiscreteBeta(dims, [[1.0, 0.5, 1.0], [1.0, 2.0, 3.0]], [0.5, 0.5])
     table = derivative_table(AsfEvaluator(model, beta), 2)
     got = same_good_ratios(table, 1, (1, 2), (1, 1), (2, 1))
-    want = true_moment(beta, MomentIndex.of((1, 1), (2, 1))) / true_moment(
-        beta, MomentIndex.of((1, 2), (2, 1))
-    )
+    want = beta.moment(MomentIndex.of((1, 1), (2, 1))) / beta.moment(MomentIndex.of((1, 2), (2, 1)))
     assert got == pytest.approx(want, rel=1e-5)
     # identical characteristic tuples give exactly one
     assert same_good_ratios(table, 1, (1, 2), (1, 1), (1, 1)) == 1.0
@@ -316,9 +313,7 @@ def exact_estimates(alphas, beta, order):
     for idx in all_moment_indices(DIMS, order):
         for k in (1, 2):
             gamma = tuple(sorted(idx.goods + (k,)))
-            out[(k, idx)] = logit.derivative(alphas, (0.0, 0.0), gamma, True) * true_moment(
-                beta, idx
-            )
+            out[(k, idx)] = logit.derivative(alphas, (0.0, 0.0), gamma, True) * beta.moment(idx)
     return out
 
 
@@ -328,7 +323,7 @@ def test_plugin_exact_in_exact_out(logit_mixture):
     ref = MomentIndex.of((1, 1), (1, 1))
     for idx in (MomentIndex.of((1, 1), (2, 1)), MomentIndex.of((2, 1), (2, 1))):
         got = plugin_estimate(DIMS, est, idx, ref)
-        assert got == pytest.approx(true_moment(beta, idx), rel=1e-12)
+        assert got == pytest.approx(beta.moment(idx), rel=1e-12)
 
 
 def test_plugin_perturbation_sensitivity(logit_mixture):
@@ -341,7 +336,7 @@ def test_plugin_perturbation_sensitivity(logit_mixture):
     noisy[(1, target)] = est[(1, target)] * 1.01
     noisy[(2, ref)] = est[(2, ref)] * 0.99
     got = plugin_estimate(DIMS, noisy, target, ref)
-    truth = true_moment(beta, target)
+    truth = beta.moment(target)
     assert abs(got - truth) / truth <= 0.0205
     assert abs(got - truth) / truth >= 0.015
 
@@ -385,7 +380,7 @@ def test_three_routes_agree_when_all_apply():
     v = VDerivTable(model.kernel.value_partials(3))
     by_independence = recover_moments_independence(table, 2, 1.0)
     for order in (1, 2):
-        scale = true_moment(beta, MomentIndex(((1, 1),) * order))
+        scale = beta.moment(MomentIndex(((1, 1),) * order))
         by_scale = recover_moments_scale(table, order, scale)
         by_v = recover_moments_vknown(table, v, order)
         for idx, val in by_scale.items():
@@ -404,4 +399,4 @@ def test_recovery_at_nonzero_center():
     for order in (1, 2):
         mt = recover_moments_scale(table, order, 1.0)
         for idx, v in mt.items():
-            assert v == pytest.approx(true_moment(beta, idx), rel=1e-5)
+            assert v == pytest.approx(beta.moment(idx), rel=1e-5)

@@ -152,6 +152,25 @@ def test_path_integral_node_doubling_stable():
     assert abs(a - b) < 1e-9
 
 
+def test_path_integral_is_the_per_node_sum_of_one_batch():
+    dims = (2, 1, 1)
+    model = LogitModel(dims=dims, alphas=(0.1, -0.2, 0.3), outside_good=True)
+    beta = DiscreteBeta(dims, [[1.0, 0.5, 1.0, 1.0], [1.0, -1.5, 1.0, 1.0]], [0.3, 0.7])
+    evaluator = AsfEvaluator(model, beta)
+    xi, xf = np.array([0.2, 0.0, -0.1, 0.0]), np.array([-0.1, 0.0, 0.3, 0.2])
+    got = path_integral_v(evaluator, xi, xf)
+    assert (evaluator.points_evaluated, evaluator.kernel_calls) == (32, 1)
+    # one asf call per node, integrated from xf, the lexicographically smaller end
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    delta = (xi - xf)[[0, 2, 3]]
+    terms = [
+        w * float(np.dot(evaluator.asf(t * xi + (1.0 - t) * xf), delta))
+        for t, w in zip((nodes + 1.0) / 2.0, weights / 2.0)
+    ]
+    assert got == -math.fsum(terms)
+    assert path_integral_v(evaluator, xf, xi) == -got
+
+
 def test_path_integral_requires_unit_first_coefficient():
     model = LogitModel(dims=DIMS, alphas=ALPHAS, outside_good=True)
     beta = DiscreteBeta(DIMS, [[1.0, 2.0]], [1.0])
