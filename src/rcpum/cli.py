@@ -12,8 +12,8 @@ request; runs the pipeline; and writes one file per kind of output:
 - ``run_meta.json``: wall-clock data, per-stage seconds among them, and
   work counters.
 
-The first three are byte-identical across runs with the same config and
-seed.
+The first three are byte-identical across runs with the same config:
+nothing in the pipeline is random.
 """
 
 from __future__ import annotations
@@ -39,13 +39,12 @@ from .exceptions import (
     AnchorError,
     ConfigurationError,
     EvaluationError,
-    InfeasibleScenarioError,
     PreconditionError,
     RelevanceError,
     WeightingError,
 )
-from .models import EXCLUDED, BundleModel, BundleScenario, LogitModel, TabulatedModel
-from .numdiff import FdScheme, derivative_table
+from .models import BundleModel, BundleScenario, LogitModel
+from .numdiff import MAX_ORDER, FdScheme, derivative_table
 from .recovery import (
     DEFAULT_TAU_REL,
     VDerivTable,
@@ -68,7 +67,6 @@ _RUN_FAILURES = (
     AnchorError,
     PreconditionError,
     WeightingError,
-    InfeasibleScenarioError,
     EvaluationError,
 )
 
@@ -119,14 +117,17 @@ def _numbers(values, where):
 _MODEL_KEYS = {
     "logit": ("alphas", "outside_good", "index_form"),
     "bundle": ("scenarios", "lattice", "smoothing"),
-    "tabulated": ("weights", "tables"),
 }
 
 
 def _build_model(block):
+    """The configured model, or None for a tabulated one: its kernel is
+    always a hard argmax, so its tables go unread."""
     if not isinstance(block, dict) or "type" not in block:
         raise ConfigurationError("model must be an object with a 'type' key")
     kind = block["type"]
+    if kind == "tabulated":
+        return None
     if kind not in _MODEL_KEYS:
         raise ConfigurationError(f"unknown model type {kind!r}")
     _expect_keys(
@@ -150,56 +151,40 @@ def _build_model(block):
             index_form=block.get("index_form", "linear"),
             **common,
         )
-    if kind == "bundle":
-        scens = []
-        pair = "model.scenarios[].complementarities[] goods"
-        quantity = "model bundle quantities"
-        for s in block.get("scenarios", ()):
-            _expect_keys(
-                s,
-                "model.scenarios[]",
-                required=("weight", "intercepts"),
-                optional=("complementarities", "consideration"),
-            )
-            consideration = s.get("consideration")
-            scens.append(
-                BundleScenario(
-                    weight=_number(s["weight"], "model.scenarios[].weight"),
-                    intercepts=_numbers(s["intercepts"], "model.scenarios[].intercepts[]"),
-                    complementarities=tuple(
-                        (
-                            _integer(j, pair),
-                            _integer(k, pair),
-                            _number(v, "model.scenarios[].complementarities[] values"),
-                        )
-                        for j, k, v in s.get("complementarities", ())
-                    ),
-                    consideration=None
-                    if consideration is None
-                    else frozenset(_numbers(y, quantity) for y in consideration),
-                )
-            )
-        lattice = block.get("lattice")
-        smoothing = block.get("smoothing")
-        return BundleModel(
-            scenarios=tuple(scens),
-            lattice=None if lattice is None else tuple(_numbers(y, quantity) for y in lattice),
-            smoothing=None if smoothing is None else _number(smoothing, "model.smoothing"),
-            **common,
+    scens = []
+    pair = "model.scenarios[].complementarities[] goods"
+    quantity = "model bundle quantities"
+    for s in block.get("scenarios", ()):
+        _expect_keys(
+            s,
+            "model.scenarios[]",
+            required=("weight", "intercepts"),
+            optional=("complementarities", "consideration"),
         )
-    tables = []
-    for tab in block.get("tables", ()):
-        tables.append(
-            {
-                tuple(json.loads(k) if isinstance(k, str) else k): (
-                    EXCLUDED if v is None else _number(v, "model.tables[] values")
-                )
-                for k, v in tab.items()
-            }
+        consideration = s.get("consideration")
+        scens.append(
+            BundleScenario(
+                weight=_number(s["weight"], "model.scenarios[].weight"),
+                intercepts=_numbers(s["intercepts"], "model.scenarios[].intercepts[]"),
+                complementarities=tuple(
+                    (
+                        _integer(j, pair),
+                        _integer(k, pair),
+                        _number(v, "model.scenarios[].complementarities[] values"),
+                    )
+                    for j, k, v in s.get("complementarities", ())
+                ),
+                consideration=None
+                if consideration is None
+                else frozenset(_numbers(y, quantity) for y in consideration),
+            )
         )
-    return TabulatedModel(
-        weights=_numbers(block.get("weights", ()), "model.weights[]"),
-        tables=tuple(tables),
+    lattice = block.get("lattice")
+    smoothing = block.get("smoothing")
+    return BundleModel(
+        scenarios=tuple(scens),
+        lattice=None if lattice is None else tuple(_numbers(y, quantity) for y in lattice),
+        smoothing=None if smoothing is None else _number(smoothing, "model.smoothing"),
         **common,
     )
 
@@ -306,10 +291,10 @@ def parse_config(raw):
         raw,
         "config",
         required=("model", "beta", "recovery"),
-        optional=("fd", "welfare", "seed", "asf"),
+        optional=("fd", "welfare"),
     )
     model = _build_model(raw["model"])
-    if model.kernel.sigma is None:
+    if model is None or model.kernel.sigma is None:
         raise ConfigurationError(
             f"hard-argmax {raw['model']['type']} model: mean demand is piecewise constant, "
             "so its derivatives at the center identify no moment"
@@ -327,8 +312,8 @@ def parse_config(raw):
     if route not in ("scale", "independence", "vknown"):
         raise ConfigurationError(f"unknown recovery route {route!r}")
     max_order = _integer(rec["max_order"], "recovery.max_order")
-    if max_order < 1:
-        raise ConfigurationError("recovery.max_order must be >= 1")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise ConfigurationError(f"recovery.max_order must be between 1 and {MAX_ORDER}")
     scales = {
         int(k): _number(v, f"recovery.scales[{k}]")
         for k, v in _optional_object(rec, "scales", "recovery").items()
@@ -364,17 +349,6 @@ def parse_config(raw):
     if welfare is not None:
         welfare = _parse_welfare(welfare, sum(model.dims))
 
-    asf_options = raw.get("asf") or {}
-    _expect_keys(asf_options, "asf", optional=("strategy", "n_draws"))
-    seed = raw.get("seed")
-    evaluator = AsfEvaluator(
-        model,
-        beta,
-        strategy=asf_options.get("strategy", "exact"),
-        n_draws=_integer(asf_options.get("n_draws", 0), "asf.n_draws"),
-        seed=None if seed is None else _integer(seed, "seed"),
-    )
-
     scheme = _build_scheme(raw.get("fd"))
     if model.nonnegative_domain and scheme.kind != "forward":
         raise ConfigurationError("nonnegative-orthant models require the forward scheme")
@@ -390,7 +364,7 @@ def parse_config(raw):
         v_derivs=v_derivs,
         tau_rel=tau_rel,
         welfare=welfare,
-        evaluator=evaluator,
+        evaluator=AsfEvaluator(model, beta),
         echo=raw,
     )
 
@@ -468,7 +442,7 @@ class _StageClock:
         self._last = now
 
 
-def run(config_path, out_dir, seed=None, max_order=None, scheme=None, route=None):
+def run(config_path, out_dir, max_order=None, scheme=None, route=None):
     """Execute one scenario; returns the process exit code."""
     started = time.time()
     clock = _StageClock()
@@ -478,8 +452,6 @@ def run(config_path, out_dir, seed=None, max_order=None, scheme=None, route=None
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    if seed is not None:
-        raw["seed"] = int(seed)
     if max_order is not None:
         raw.setdefault("recovery", {})["max_order"] = int(max_order)
     if scheme is not None:
@@ -666,7 +638,7 @@ def _write_reports(out, config, asf_center, moment_tables, v_table, welfare_out,
         },
     }
     (out / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
@@ -688,7 +660,6 @@ def main(argv=None):
     runp = sub.add_parser("run", help="run one scenario config")
     runp.add_argument("--config", required=True, help="config path or bundled scenario name")
     runp.add_argument("--out", required=True, help="output directory")
-    runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--max-order", type=int, default=None)
     runp.add_argument("--scheme", choices=("central", "forward"), default=None)
     runp.add_argument("--route", choices=("scale", "independence", "vknown"), default=None)
@@ -697,7 +668,6 @@ def main(argv=None):
         return run(
             resolve_config_path(args.config),
             args.out,
-            seed=args.seed,
             max_order=args.max_order,
             scheme=args.scheme,
             route=args.route,

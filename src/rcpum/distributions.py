@@ -140,7 +140,8 @@ class UnivariateAtoms:
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
 
     def raw_moment(self, power: int) -> float:
-        return float(sum(w * v**power for v, w in zip(self.values, self.weights)))
+        # a numpy scalar power overflows to inf, where a Python float power raises
+        return float(sum(w * np.float64(v) ** power for v, w in zip(self.values, self.weights)))
 
 
 @dataclass(frozen=True)

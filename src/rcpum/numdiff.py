@@ -34,6 +34,14 @@ from .exceptions import ConfigurationError, EvaluationError
 
 DEFAULT_STEP_LOW_ORDER = 6e-3
 DEFAULT_STEP_ORDER3 = 2e-2
+# Each Richardson level halves the step, and rounding error grows with it: on
+# logit_k2_mixture the largest moment relative error is 7.4e-7 with 4 levels,
+# 8.8e-6 with 6, 7.4e-3 with 8 and 1.15 with 12.
+MAX_RICHARDSON_LEVELS = 6
+# An order-m stencil divides by h^m: on the same config with unit scales the
+# error is 2e-2 at order 6 and >= 1 at orders 7 to 12.  The bound keeps the
+# table finite, not accurate.
+MAX_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -54,8 +62,11 @@ class FdScheme:
             raise ConfigurationError(f"unknown scheme kind {self.kind!r}")
         if self.base_step is not None and not 0 < self.base_step < math.inf:
             raise ConfigurationError("base_step must be positive and finite")
-        if self.richardson_levels is not None and self.richardson_levels < 0:
-            raise ConfigurationError("richardson_levels must be >= 0")
+        levels = self.richardson_levels
+        if levels is not None and not 0 <= levels <= MAX_RICHARDSON_LEVELS:
+            raise ConfigurationError(
+                f"richardson_levels must be between 0 and {MAX_RICHARDSON_LEVELS}"
+            )
 
     def step_for(self, order):
         if self.base_step is not None:
@@ -307,8 +318,8 @@ def derivative_table(evaluator, max_order, scheme=None):
     """Estimate every mixed partial of orders 1..max_order, once each, with
     one ``asf_batch`` call through the memoised plan of the table's shape."""
     scheme = scheme or FdScheme()
-    if max_order < 1:
-        raise ConfigurationError("max_order must be >= 1")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise ConfigurationError(f"max_order must be between 1 and {MAX_ORDER}")
     _require_scheme_fits_domain(evaluator, scheme)
     dims = evaluator.model.dims
     plan = table_plan(dims, max_order, scheme)

@@ -87,9 +87,10 @@ class TaylorVModel:
         def along(shift):
             return self.values((directions[:, None, :] * (ts + shift)[:, None]).reshape(-1, k))
 
-        second = (along(step) - 2 * along(0.0) + along(-step)) / step**2
+        second = (along(step) - 2 * along(0.0) + along(-step)) / (step * step)
         second = second.reshape(len(directions), len(ts))
-        bad = np.argwhere(second < -tol)
+        # a NaN second difference (the polynomial overflowed) fails the probe too
+        bad = np.argwhere(~(second >= -tol))
         if len(bad):
             i, j = bad[0]
             raise ConfigurationError(

@@ -255,7 +255,7 @@ def test_criterion_10_determinism(tmp_path):
         outs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{name}_{tag}"
-            code = run(resolve_config_path(name), out, seed=0)
+            code = run(resolve_config_path(name), out)
             assert code == 0, name
             outs.append(
                 {

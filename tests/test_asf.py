@@ -1,6 +1,5 @@
 import itertools
 import math
-import os
 
 import numpy as np
 import pytest
@@ -157,62 +156,6 @@ def test_one_good_rearrangement_end_to_end():
     sigmoid = 1.0 / (1.0 + np.exp(-grid))
     assert np.max(np.abs(f - sigmoid)) < 5e-3
     assert np.all(np.diff(f) >= -1e-12)
-
-
-def test_monte_carlo_requires_seed_and_scenarios():
-    scen = BundleScenario(1.0, (1.0, -1.0))
-    model = BundleModel(dims=DIMS, scenarios=(scen,))
-    beta = DiscreteBeta(DIMS, [[1.0, 1.0]], [1.0])
-    with pytest.raises(ConfigurationError):
-        AsfEvaluator(model, beta, strategy="monte_carlo", n_draws=10)
-    logit_model = LogitModel(dims=DIMS, alphas=(0.0, 0.0))
-    with pytest.raises(ConfigurationError):
-        AsfEvaluator(logit_model, beta, strategy="monte_carlo", n_draws=10, seed=3)
-
-
-def test_monte_carlo_is_seed_deterministic():
-    scenarios = (
-        BundleScenario(0.5, (0.7, -0.4)),
-        BundleScenario(0.5, (-0.3, 0.6)),
-    )
-    model = BundleModel(dims=DIMS, scenarios=scenarios)
-    beta = DiscreteBeta(DIMS, [[1.0, 1.0]], [1.0])
-    x = np.array([0.3, 0.1])
-    a = AsfEvaluator(model, beta, strategy="monte_carlo", n_draws=64, seed=7).asf(x)
-    b = AsfEvaluator(model, beta, strategy="monte_carlo", n_draws=64, seed=7).asf(x)
-    assert np.array_equal(a, b)
-    exact = AsfEvaluator(model, beta).asf(x)
-    assert np.allclose(a, exact, atol=0.2)
-
-
-def test_monte_carlo_stable_across_processes():
-    # the per-point stream must not depend on the salted builtin hash
-    import subprocess
-    import sys
-
-    snippet = (
-        "import numpy as np\n"
-        "from rcpum import AsfEvaluator, BundleModel, BundleScenario, DiscreteBeta\n"
-        "model = BundleModel(dims=(1, 1), scenarios=("
-        "BundleScenario(0.5, (0.7, -0.4)), BundleScenario(0.5, (-0.3, 0.6))))\n"
-        "beta = DiscreteBeta((1, 1), [[1.0, 1.0]], [1.0])\n"
-        "ev = AsfEvaluator(model, beta, strategy='monte_carlo', n_draws=32, seed=9)\n"
-        "print(repr(ev.asf(np.array([0.3, 0.1])).tolist()))\n"
-    )
-    outs = {
-        subprocess.run(
-            [sys.executable, "-c", snippet],
-            capture_output=True,
-            text=True,
-            env={
-                "PYTHONHASHSEED": hs,
-                "PATH": "/usr/bin:/bin",
-                "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
-            },
-        ).stdout
-        for hs in ("0", "12345")
-    }
-    assert len(outs) == 1 and outs != {""}
 
 
 def test_concurrent_asf_reads_consistent(logit_mixture):
@@ -406,25 +349,24 @@ def _batch_models():
         dims=(1, 1, 1), alphas=(0.2, 0.0, -0.4), index_form="power", center=np.ones(3)
     )
     return {
-        "logit_linear": (LogitModel(dims=(2, 1), alphas=(0.1, -0.3), outside_good=True), {}),
-        "logit_power": (power, {}),
-        "smoothed_bundle": (smoothed, {}),
-        "hard_argmax_bundle": (hard, {}),
-        "monte_carlo": (hard, dict(strategy="monte_carlo", n_draws=16, seed=5)),
+        "logit_linear": LogitModel(dims=(2, 1), alphas=(0.1, -0.3), outside_good=True),
+        "logit_power": power,
+        "smoothed_bundle": smoothed,
+        "hard_argmax_bundle": hard,
     }
 
 
 @pytest.mark.parametrize("case", list(_batch_models()))
 def test_asf_batch_equals_stacked_asf_rows(case):
-    model, options = _batch_models()[case]
+    model = _batch_models()[case]
     support = [[1.0, 1.0, 0.5], [2.0, -1.0, 0.25], [0.5, 3.0, 1.0]]
     beta = DiscreteBeta(model.dims, support, [0.5, 0.25, 0.25])
     rng = np.random.default_rng(3)
     X = model.center + rng.uniform(-0.2, 0.2, size=(9, model.total_dim))
     X = np.vstack([X, X[2], model.center])  # a repeated row and the center
-    batched = AsfEvaluator(model, beta, **options)
+    batched = AsfEvaluator(model, beta)
     got = batched.asf_batch(X)
-    single = AsfEvaluator(model, beta, **options)
+    single = AsfEvaluator(model, beta)
     want = np.array([single.asf(x) for x in X])
     assert got.shape == (len(X), model.n_goods)
     assert np.array_equal(got, want)

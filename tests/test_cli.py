@@ -112,6 +112,19 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value", [("seed", 0), ("asf", {"strategy": "exact"})], ids=["seed", "asf"]
+)
+def test_removed_keys_are_unknown(tmp_path, capsys, key, value):
+    # the ASF is exact, so a run has nothing to seed and no evaluator to pick
+    raw = json.loads(bundled("bundle_k2_smoothed").read_text())
+    raw[key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert run(cfg, tmp_path / "out") == 1
+    assert f"config error: unknown keys in config: ['{key}']" in capsys.readouterr().err
+
+
 def test_variant_foreign_key_rejected(tmp_path, capsys):
     raw = json.loads(bundled("logit_k2_mixture").read_text())
     raw["model"]["smoothing"] = 1.0
@@ -143,8 +156,8 @@ def test_irrelevant_coefficients_exit_two(tmp_path):
 
 def test_reports_are_deterministic(tmp_path):
     for name in ("logit_k2_mixture", "bundle_k2_smoothed"):
-        run(bundled(name), tmp_path / f"{name}_a", seed=0)
-        run(bundled(name), tmp_path / f"{name}_b", seed=0)
+        run(bundled(name), tmp_path / f"{name}_a")
+        run(bundled(name), tmp_path / f"{name}_b")
         assert read_reports(tmp_path / f"{name}_a") == read_reports(tmp_path / f"{name}_b")
 
 
@@ -249,31 +262,6 @@ def test_nonnegative_domain_requires_forward(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize(
-    "name, n_draws, keep_seed",
-    [
-        ("logit_k2_mixture", 8, True),
-        ("bundle_k2_smoothed", 8, False),
-        ("bundle_k2_smoothed", 0, True),
-    ],
-    ids=["logit_model", "no_seed", "no_draws"],
-)
-def test_monte_carlo_misconfiguration_exits_one(tmp_path, name, n_draws, keep_seed):
-    raw = json.loads(bundled(name).read_text())
-    raw["asf"] = {"strategy": "monte_carlo", "n_draws": n_draws}
-    if not keep_seed:
-        del raw["seed"]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(raw))
-    command = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "rcpum.cli", *command], capture_output=True, text=True
-    )
-    assert proc.returncode == 1
-    assert "config error:" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
 def _set(path, value, *more):
     """Config edit setting ``path`` to ``value``, and each further
     (path, value) pair of ``more``."""
@@ -329,11 +317,8 @@ def _set(path, value, *more):
         ("logit_k2_mixture", _set(("fd", "base_step"), float("nan"))),
         ("logit_k2_mixture", _set(("model", "dims"), [1.5, 1])),
         ("logit_k2_mixture", _set(("model", "dims"), [True, 1])),
-        ("logit_k2_mixture", _set(("seed",), 0.5)),
-        (
-            "bundle_k2_smoothed",
-            _set(("asf",), {"strategy": "monte_carlo", "n_draws": 2.5}),
-        ),
+        ("logit_k2_mixture", _set(("fd", "richardson_levels"), 1e308)),
+        ("independence_k2", _set(("recovery", "max_order"), 1e308)),
         (
             "bundle_k2_smoothed",
             _set(
@@ -383,8 +368,8 @@ def _set(path, value, *more):
         "base_step_nan",
         "dims_fractional",
         "dims_boolean",
-        "seed_fractional",
-        "n_draws_fractional",
+        "richardson_levels_huge",
+        "max_order_huge",
         "complementarity_good_fractional",
         "smoothing_boolean",
         "smoothing_nan",
@@ -413,11 +398,11 @@ def test_invalid_config_exits_one(tmp_path, capsys, name, edit):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
-def test_monte_carlo_table_failing_convexity_exits_two(tmp_path):
-    # two draws per point make the FD table sampling noise, whose recovered
-    # own curvature comes out negative
+def test_wrong_sign_scale_failing_convexity_exits_two(tmp_path):
+    # a negative first-order scale flips the sign of every first moment,
+    # so the recovered own curvature of the value function comes out negative
     raw = json.loads(bundled("bundle_k2_smoothed").read_text())
-    raw["asf"] = {"strategy": "monte_carlo", "n_draws": 2}
+    raw["recovery"]["scales"]["1"] = -1.5
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     command = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
@@ -429,6 +414,8 @@ def test_monte_carlo_table_failing_convexity_exits_two(tmp_path):
     failure = json.loads((tmp_path / "out" / "summary.json").read_text())["failure"]
     assert failure["stage"] == "v_derivatives"
     assert failure["error"] == "PreconditionError"
+    assert "recovered diagonal entry (1, 1)" in failure["message"]
+    assert "violates convexity" in failure["message"]
 
 
 def test_vknown_route_reads_kernel_partials_on_smoothed_bundle(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -59,6 +61,17 @@ def test_product_moments_factorize():
     cross = dist.moment(MomentIndex.of((1, 1), (2, 1)))
     assert cross == pytest.approx(m1 * m2)
     assert dist.moment(MomentIndex.of((1, 1), (1, 1))) == pytest.approx(1.25)
+
+
+def test_overflowing_raw_moment_is_infinite():
+    # a Python float power would raise OverflowError here
+    atoms = UnivariateAtoms((0.5, 1e308), (0.5, 0.5))
+    assert atoms.raw_moment(1) == 5e307
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert atoms.raw_moment(2) == math.inf
+    dist = ProductBeta(DIMS, (atoms, UnivariateAtoms((1.0, 3.0), (0.5, 0.5))))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert true_moments(dist, [MomentIndex.of((1, 1), (1, 1), (2, 1))]) == [math.inf]
 
 
 def test_product_support_matches_moments():

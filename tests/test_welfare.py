@@ -433,6 +433,18 @@ def test_taylor_model_rejects_diagonal_nonconvexity():
         )
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_taylor_model_rejects_overflowing_convexity_probe():
+    # probes that far out overflow the polynomial, and a NaN second
+    # difference certifies nothing
+    with pytest.raises(ConfigurationError, match=r"second diff nan"):
+        TaylorVModel(
+            gradient=np.array([0.5, 0.5]),
+            tables={2: VDerivTable({(1, 1): 0.2, (1, 2): 0.0, (2, 2): 0.2})},
+            trust_radius=1e308,
+        )
+
+
 def test_average_indirect_utility_warns_per_outside_point(recovered_taylor):
     model, _, _, vmodel = recovered_taylor
     mix = DiscreteBeta(DIMS, [[1.0, 1.0], [4.0, 1.0], [1.0, 5.0]], [0.5, 0.25, 0.25])
