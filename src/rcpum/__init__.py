@@ -26,22 +26,13 @@ from .exceptions import (
     ConfigurationError,
     EvaluationError,
     ExtrapolationWarning,
-    InfeasibleScenarioError,
     PermutationConditionError,
     PreconditionError,
     RcpumError,
     RelevanceError,
     WeightingError,
 )
-from .models import (
-    EXCLUDED,
-    BundleModel,
-    BundleScenario,
-    LogitModel,
-    TabulatedModel,
-    latent_utility,
-    solve_choice,
-)
+from .models import BundleModel, BundleScenario, LogitModel
 from .numdiff import DerivativeTable, FdScheme, derivative_table, mixed_partial
 from .recovery import (
     ChainResult,

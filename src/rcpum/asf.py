@@ -4,12 +4,11 @@ structural function with all heterogeneity integrated out.
 Every model carries a compiled ``FiniteBudgetKernel`` (G, Y, D, w, sigma):
 the good-sum matrix, the budget, the disturbance of each bundle in each
 scenario (-inf where a bundle is not considered), the scenario weights, and
-the Gumbel scale, or None for the hard argmax with ties averaged.  One
-vectorized kernel evaluates all of them, logit included, at a whole
-coefficient support at once:
+the positive Gumbel scale.  One vectorized kernel evaluates all of them,
+logit included, at a whole coefficient support at once:
 
-    U = ((x - c) * B) @ G @ Y'                          (support x budget)
-    P = softmax((U + D) / sigma) or argmax mask of U + D   (per scenario)
+    U = ((x - c) * B) @ G @ Y'                  (support x budget)
+    P = softmax((U + D) / sigma)                (per scenario)
     ybar = sum_t w_t P_t @ Y
 
 so the ASF makes one kernel call per batch of covariate points
@@ -35,18 +34,13 @@ def ybar_given_beta(model, x, beta):
     K).
     """
     kernel = model.kernel
+    # the softmax in place: z is the largest array of the kernel
     z = (model.indices(x, beta) @ kernel.Y.T)[..., None, :] + kernel.D
-    best = z.max(axis=-1, keepdims=True)
-    if kernel.sigma is None:
-        p = (z == best).astype(float)
-    else:
-        # the softmax in place: z is the largest array of the kernel
-        p = z
-        p -= best
-        p /= kernel.sigma
-        np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)  # choice probabilities per scenario
-    return np.einsum("t,...tb,bk->...k", kernel.w, p, kernel.Y)
+    z -= z.max(axis=-1, keepdims=True)
+    z /= kernel.sigma
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)  # choice probabilities per scenario
+    return np.einsum("t,...tb,bk->...k", kernel.w, z, kernel.Y)
 
 
 class AsfEvaluator:

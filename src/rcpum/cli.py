@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import numbers
 import sys
 import time
@@ -103,10 +104,17 @@ def _integer(value, where):
 
 
 def _number(value, where):
-    """A JSON number as a float; booleans and strings are not numbers."""
+    """A finite JSON number as a float; booleans and strings are not
+    numbers, and NaN and the infinities are rejected."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(f"{where} must be a number")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigurationError(f"{where} must be finite, got {x}")
+    return x
 
 
 def _numbers(values, where):
@@ -121,13 +129,9 @@ _MODEL_KEYS = {
 
 
 def _build_model(block):
-    """The configured model, or None for a tabulated one: its kernel is
-    always a hard argmax, so its tables go unread."""
     if not isinstance(block, dict) or "type" not in block:
         raise ConfigurationError("model must be an object with a 'type' key")
     kind = block["type"]
-    if kind == "tabulated":
-        return None
     if kind not in _MODEL_KEYS:
         raise ConfigurationError(f"unknown model type {kind!r}")
     _expect_keys(
@@ -236,8 +240,8 @@ def _covariates(value, n, where):
         x = np.array(_numbers(value, where))
     except TypeError:
         x = None
-    if x is None or x.shape != (n,) or not np.all(np.isfinite(x)):
-        raise ConfigurationError(f"{where} must be a finite numeric vector of length {n}")
+    if x is None or x.shape != (n,):
+        raise ConfigurationError(f"{where} must be a numeric vector of length {n}")
     return x
 
 
@@ -257,8 +261,8 @@ def _parse_welfare(block, n):
     radius = block.get("trust_radius")
     if radius is not None:
         radius = _number(radius, "welfare.trust_radius")
-        if not 0 < radius < np.inf:
-            raise ConfigurationError("welfare.trust_radius must be positive and finite")
+        if radius <= 0:
+            raise ConfigurationError("welfare.trust_radius must be positive")
     return {
         "points": [_covariates(x, n, "welfare.points[]") for x in block.get("points", [])],
         "weighting": weighting,
@@ -294,11 +298,6 @@ def parse_config(raw):
         optional=("fd", "welfare"),
     )
     model = _build_model(raw["model"])
-    if model is None or model.kernel.sigma is None:
-        raise ConfigurationError(
-            f"hard-argmax {raw['model']['type']} model: mean demand is piecewise constant, "
-            "so its derivatives at the center identify no moment"
-        )
     beta = _build_beta(raw["beta"], model.dims)
 
     rec = raw["recovery"]
@@ -314,20 +313,25 @@ def parse_config(raw):
     max_order = _integer(rec["max_order"], "recovery.max_order")
     if not 1 <= max_order <= MAX_ORDER:
         raise ConfigurationError(f"recovery.max_order must be between 1 and {MAX_ORDER}")
+    power_index = getattr(model, "index_form", "linear") == "power"
+    if power_index and max_order > 1:
+        raise ConfigurationError(
+            "power indices are first order only: the n-th derivative of x**rho at x = 1 is "
+            "the falling factorial rho(rho-1)...(rho-n+1), not rho**n, so a derivative that "
+            "repeats a shifter mixes in lower-order moments"
+        )
     scales = {
         int(k): _number(v, f"recovery.scales[{k}]")
         for k, v in _optional_object(rec, "scales", "recovery").items()
     }
     if route == "scale":
         for m in range(1, max_order + 1):
-            if not np.isfinite(scales.get(m, np.nan)) or scales[m] == 0:
-                raise ConfigurationError(
-                    f"scale route needs a finite nonzero recovery.scales[{m}]"
-                )
+            if not scales.get(m):
+                raise ConfigurationError(f"scale route needs a nonzero recovery.scales[{m}]")
     abs_mean = rec.get("abs_mean")
     abs_mean = None if abs_mean is None else _number(abs_mean, "recovery.abs_mean")
-    if route == "independence" and not (abs_mean is not None and 0 < abs_mean < np.inf):
-        raise ConfigurationError("independence route needs a positive finite recovery.abs_mean")
+    if route == "independence" and not (abs_mean is not None and abs_mean > 0):
+        raise ConfigurationError("independence route needs a positive recovery.abs_mean")
     v_derivs = None
     if rec.get("v_derivs") is not None:
         v_derivs = VDerivTable(
@@ -338,12 +342,12 @@ def parse_config(raw):
         )
     if route == "vknown" and v_derivs is None:
         # the kernel's exact partials serve every linear-index model
-        if getattr(model, "index_form", "linear") != "linear":
+        if power_index:
             raise ConfigurationError("vknown route needs recovery.v_derivs for a power-index logit")
         v_derivs = VDerivTable(model.kernel.value_partials(max_order + 1))
     tau_rel = _number(rec.get("tau_rel", DEFAULT_TAU_REL), "recovery.tau_rel")
-    if not 0 < tau_rel < np.inf:
-        raise ConfigurationError("recovery.tau_rel must be positive and finite")
+    if tau_rel <= 0:
+        raise ConfigurationError("recovery.tau_rel must be positive")
 
     welfare = raw.get("welfare")
     if welfare is not None:

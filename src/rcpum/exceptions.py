@@ -9,10 +9,6 @@ class ConfigurationError(RcpumError):
     """Malformed model, distribution, scheme, or scenario configuration."""
 
 
-class InfeasibleScenarioError(RcpumError):
-    """Every bundle in a scenario is excluded, so the argmax is empty."""
-
-
 class EvaluationError(RcpumError):
     """A demand evaluation returned a non-finite value."""
 

@@ -1,4 +1,4 @@
-"""Latent utility model specifications and the per-scenario choice solver.
+"""Latent utility model specifications.
 
 A model fixes the goods, their characteristic counts, a centering covariate
 point, and a disturbance family.  Utility of a quantity vector y is
@@ -9,8 +9,10 @@ so the slope indices vanish exactly at the centering point c, which is where
 all identification formulas are evaluated.
 
 Every model is compiled once, at construction, to a ``FiniteBudgetKernel``
-stored on the model as ``model.kernel``; ``solve_choice`` and
-``latent_utility`` stay as per-scenario references built from the tables.
+stored on the model as ``model.kernel``: a softmax over a finite budget with
+a positive Gumbel scale.  A hard argmax (scale zero) is not a model here: its
+mean demand is piecewise constant, so its derivatives at the center identify
+no moment.
 """
 
 from __future__ import annotations
@@ -22,44 +24,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError, InfeasibleScenarioError
-
-
-class _Excluded:
-    """Marker for D = -infinity (bundle not considered)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "EXCLUDED"
-
-
-EXCLUDED = _Excluded()
+from .exceptions import ConfigurationError
 
 
 @dataclass(frozen=True)
 class FiniteBudgetKernel:
-    """A model's choice rule as softmax or argmax over a finite budget.
+    """A model's choice rule as a softmax over a finite budget.
 
     ``G`` (total_dim x K) sums the shifted covariate products of each good
     into its index, ``Y`` (budget x K) lists the budget, ``D`` (scenarios x
     budget) holds the disturbance of every bundle in every scenario with
     -inf for bundles a scenario does not consider, and ``w`` the scenario
     weights.  In scenario t the choice puts probability softmax((u . Y_b +
-    D_tb) / sigma) on bundle b, or with ``sigma`` None spreads uniformly
-    over the maximizers.
+    D_tb) / sigma) on bundle b, with ``sigma`` the positive Gumbel scale.
     """
 
     G: np.ndarray
     Y: np.ndarray
     D: np.ndarray
     w: np.ndarray
-    sigma: float | None
+    sigma: float
 
     def __post_init__(self):
         for name in ("G", "Y", "D", "w"):
@@ -74,8 +58,6 @@ class FiniteBudgetKernel:
         An order-m partial is sigma^(1-m) sum_t w_t kappa_t, with kappa_t the
         joint cumulant of the budget's components under scenario t's softmax.
         """
-        if self.sigma is None:
-            raise ConfigurationError("a hard-argmax kernel has no smooth value function")
         gammas, exponents, steps = _cumulant_plan(self.Y.shape[1], max_order)
         z = self.D / self.sigma
         p = np.exp(z - z.max(axis=1, keepdims=True))
@@ -125,10 +107,6 @@ def _cumulant_plan(n_goods, max_order):
     for a in [exponents] + [a for step in steps for a in step[1:]]:
         a.setflags(write=False)
     return gammas, exponents, tuple(steps)
-
-
-def _disturbance_value(d):
-    return -np.inf if d is EXCLUDED else float(d)
 
 
 def _as_center(center, total_dim):
@@ -272,9 +250,10 @@ class BundleScenario:
             )
 
     def disturbance(self, y):
-        """D(y, eps) for this scenario, or EXCLUDED."""
+        """D(y, eps) for this scenario, or -inf for a bundle it does not
+        consider."""
         if self.consideration is not None and tuple(y) not in self.consideration:
-            return EXCLUDED
+            return -np.inf
         d = sum(q * e for q, e in zip(y, self.intercepts))
         for j, k, v in self.complementarities:
             d += y[j - 1] * y[k - 1] * v
@@ -290,17 +269,17 @@ class BundleModel(ModelSpec):
     """Finite bundle choice with latent consideration sets (per Example-2
     style utilities: per-good intercepts plus pairwise complementarities).
 
-    ``smoothing`` adds an i.i.d. Gumbel taste shock of the given scale to
-    every considered bundle, which integrates to a closed-form softmax over
-    the lattice and makes the mean demand real-analytic in covariates.  With
-    ``smoothing=None`` the solver is the hard argmax with ties averaged.
+    ``smoothing`` is required: it adds an i.i.d. Gumbel taste shock of the
+    given positive scale to every considered bundle, which integrates to a
+    closed-form softmax over the lattice and makes the mean demand
+    real-analytic in covariates.
 
     The kernel scores every lattice bundle once per scenario.
     """
 
     scenarios: tuple[BundleScenario, ...] = ()
     lattice: tuple[tuple[float, ...], ...] = None
-    smoothing: float | None = None
+    smoothing: float = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -316,62 +295,16 @@ class BundleModel(ModelSpec):
                 raise ConfigurationError("lattice vectors must have one quantity per good")
         object.__setattr__(self, "lattice", lattice)
         _check_scenarios(self.scenarios, self.n_goods, lattice)
-        if self.smoothing is not None and not 0 < self.smoothing < np.inf:
-            raise ConfigurationError("smoothing scale must be positive and finite")
-        # a repeated lattice vector is one bundle, as in scenario_table
-        budget = tuple(dict.fromkeys(lattice))
-        D = [[_disturbance_value(scen.disturbance(y)) for y in budget] for scen in self.scenarios]
+        if self.smoothing is None or not 0 < self.smoothing < np.inf:
+            raise ConfigurationError(
+                f"bundle smoothing must be a positive finite Gumbel scale, got {self.smoothing}: "
+                "without it the choice is a hard argmax, whose mean demand is piecewise "
+                "constant, so its derivatives at the center identify no moment"
+            )
+        budget = tuple(dict.fromkeys(lattice))  # a repeated lattice vector is one bundle
+        D = [[scen.disturbance(y) for y in budget] for scen in self.scenarios]
         weights = [scen.weight for scen in self.scenarios]
         self._compile(budget, D, weights, self.smoothing)
-
-    def scenario_table(self, s):
-        """Tabulated D(y, eps) over the lattice for scenario index s."""
-        scen = self.scenarios[s]
-        return {y: scen.disturbance(y) for y in self.lattice}
-
-
-@dataclass(frozen=True)
-class TabulatedModel(ModelSpec):
-    """Fully tabulated disturbance over an arbitrary finite budget.
-
-    ``tables`` holds, per scenario, a mapping from quantity vector to D(y,
-    eps); entries may be EXCLUDED.  The budget is the union of table keys.
-    """
-
-    weights: tuple[float, ...] = ()
-    tables: tuple[dict, ...] = ()
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.tables:
-            raise ConfigurationError("at least one disturbance scenario required")
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ConfigurationError("scenario weights must be nonnegative and sum to 1")
-        if len(w) != len(self.tables):
-            raise ConfigurationError("one weight per scenario table required")
-        budgets = set()
-        tables = []
-        for tab in self.tables:
-            clean = {}
-            for y, v in tab.items():
-                key = tuple(float(q) for q in y)
-                if len(key) != self.n_goods:
-                    raise ConfigurationError("budget vectors must have one quantity per good")
-                clean[key] = v if v is EXCLUDED else float(v)
-            if all(v is EXCLUDED for v in clean.values()):
-                raise ConfigurationError("a scenario must consider at least one bundle")
-            budgets.update(clean)
-            tables.append(clean)
-        object.__setattr__(self, "weights", tuple(float(v) for v in w))
-        object.__setattr__(self, "tables", tuple(tables))
-        object.__setattr__(self, "budget", tuple(sorted(budgets)))
-        D = [[_disturbance_value(tab.get(y, EXCLUDED)) for y in self.budget] for tab in tables]
-        self._compile(self.budget, D, self.weights, None)
-
-    def scenario_table(self, s):
-        tab = self.tables[s]
-        return {y: tab.get(y, EXCLUDED) for y in self.budget}
 
 
 def _check_scenarios(scenarios, n_goods, lattice):
@@ -393,52 +326,3 @@ def _check_scenarios(scenarios, n_goods, lattice):
                 raise ConfigurationError("consideration set must lie inside the bundle lattice")
     if abs(total - 1.0) > 1e-12:
         raise ConfigurationError(f"scenario weights sum to {total}, expected 1 within 1e-12")
-
-
-def _require_finite_scenarios(model):
-    if not hasattr(model, "scenario_table"):
-        raise ConfigurationError(
-            f"{type(model).__name__} has no finite disturbance scenarios to enumerate"
-        )
-
-
-def latent_utility(model, y, x, beta, scenario):
-    """Utility of quantity vector y under one disturbance scenario.
-
-    Returns EXCLUDED when the scenario does not consider y.
-    """
-    _require_finite_scenarios(model)
-    table = model.scenario_table(scenario)
-    key = tuple(float(q) for q in y)
-    if key not in table:
-        raise ConfigurationError(f"{key} is not in the model budget")
-    d = table[key]
-    if d is EXCLUDED:
-        return EXCLUDED
-    idx = model.indices(x, beta)
-    return float(np.dot(key, idx) + d)
-
-
-def solve_choice(model, x, beta, scenario):
-    """Maximizing quantity vector for one scenario, ties averaged uniformly.
-
-    Averaging keeps the output inside the convex hull of the budget, which
-    is the set the aggregated demand lives in.
-    """
-    _require_finite_scenarios(model)
-    table = model.scenario_table(scenario)
-    idx = model.indices(x, beta)
-    best = None
-    argmax = []
-    for y, d in table.items():
-        if d is EXCLUDED:
-            continue
-        u = float(np.dot(y, idx) + d)
-        if best is None or u > best:
-            best = u
-            argmax = [y]
-        elif u == best:
-            argmax.append(y)
-    if best is None:
-        raise InfeasibleScenarioError(f"scenario {scenario} excludes every bundle")
-    return np.mean(np.array(argmax, dtype=float), axis=0)

@@ -30,7 +30,7 @@ from .exceptions import (
     PreconditionError,
     RelevanceError,
 )
-from .numdiff import FdScheme, mixed_partial
+from .numdiff import DerivativeTable, FdScheme, mixed_partial
 
 DEFAULT_TAU_REL = 1e-7
 
@@ -377,19 +377,8 @@ def exponent_moment_ratio(evaluator, j, k, scheme=None, tau_rel=DEFAULT_TAU_REL)
     return num / den
 
 
-class _MappingTable:
-    """Adapter exposing externally supplied derivative estimates through the
-    lookup interface the chaining code expects."""
-
-    def __init__(self, dims, estimates):
-        self.dims = tuple(dims)
-        self._data = {}
-        for (k, idx), v in estimates.items():
-            idx = idx if isinstance(idx, MomentIndex) else MomentIndex(tuple(idx))
-            self._data[(k, idx)] = float(v)
-
-    def value(self, good, pairs):
-        return self._data[(good, MomentIndex(tuple(pairs)))]
+def _as_index(idx):
+    return idx if isinstance(idx, MomentIndex) else MomentIndex(tuple(idx))
 
 
 def plugin_estimate(dims, estimates, target, reference, tau_rel=DEFAULT_TAU_REL):
@@ -398,13 +387,21 @@ def plugin_estimate(dims, estimates, target, reference, tau_rel=DEFAULT_TAU_REL)
 
     Chains ratios exactly as the population construction does, so exact
     derivatives reproduce exact moments and estimation error enters only
-    through the supplied ratios.
+    through the supplied ratios.  The estimates, keyed by (component good,
+    moment index), fill a ``DerivativeTable`` with no center, scheme or
+    stencil.
     """
-    target = target if isinstance(target, MomentIndex) else MomentIndex(tuple(target))
-    reference = reference if isinstance(reference, MomentIndex) else MomentIndex(tuple(reference))
+    target, reference = _as_index(target), _as_index(reference)
     if target.order != reference.order:
         raise ConfigurationError("target and reference moments must have the same order")
-    table = _MappingTable(dims, estimates)
+    table = DerivativeTable(
+        dims=tuple(dims),
+        max_order=target.order,
+        center=None,
+        scheme=None,
+        entries={(k, _as_index(idx).pairs): float(v) for (k, idx), v in estimates.items()},
+        stencil_nodes=0,
+    )
     chain = chain_ratios(table, target.order, tau_rel)
     ref = chain.ratios[reference]
     if abs(ref) <= tau_rel:

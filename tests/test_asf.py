@@ -7,15 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rcpum import (
-    EXCLUDED,
     AsfEvaluator,
     BundleModel,
     BundleScenario,
     ConfigurationError,
     DiscreteBeta,
     LogitModel,
-    TabulatedModel,
-    solve_choice,
     ybar_given_beta,
 )
 from rcpum.distributions import flat_offsets
@@ -34,13 +31,6 @@ def test_logit_closed_form_at_log_two():
     model = LogitModel(dims=DIMS, alphas=(0.0, 0.0))
     got = ybar_given_beta(model, np.array([math.log(2.0), 0.0]), np.ones(2))
     assert np.allclose(got, [2 / 3, 1 / 3])
-
-
-def test_single_scenario_bundle_ties_averaged():
-    scen = BundleScenario(1.0, (1.0, -1.0), ((1, 2, 1.0),))
-    model = BundleModel(dims=DIMS, scenarios=(scen,))
-    got = ybar_given_beta(model, np.zeros(2), np.ones(2))
-    assert np.allclose(got, [1.0, 0.5])
 
 
 def test_asf_mixture_at_center():
@@ -127,18 +117,6 @@ def test_repeated_asf_returns_equal_rows(logit_mixture):
     assert np.array_equal(first, second)
 
 
-def test_tabulated_model_mean_demand():
-    from rcpum import TabulatedModel, solve_choice
-
-    tab0 = {(0.0, 0.0): 0.0, (1.0, 0.0): 0.8, (0.0, 1.0): -0.5}
-    tab1 = {(0.0, 0.0): 0.0, (1.0, 0.0): -1.2, (0.0, 1.0): 0.4}
-    model = TabulatedModel(dims=DIMS, weights=(0.3, 0.7), tables=(tab0, tab1))
-    b = np.array([1.0, 1.0])
-    x = np.array([0.2, 0.1])
-    want = 0.3 * solve_choice(model, x, b, 0) + 0.7 * solve_choice(model, x, b, 1)
-    assert np.allclose(ybar_given_beta(model, x, b), want)
-
-
 def test_one_good_rearrangement_end_to_end():
     # demand values computed by the model at a fixed covariate, index atoms
     # from the coefficient support: the rearrangement recovers the demand map
@@ -180,40 +158,33 @@ def test_dims_mismatch_rejected():
 
 
 # Dyadic covariates, coefficients and disturbances keep every utility exact
-# in floating point, so argmax ties do not depend on summation order.
+# in floating point, so the kernel and the loop references score the same
+# utilities.
 dyadic = st.integers(min_value=-64, max_value=64).map(lambda n: n / 16)
 DYADIC_WEIGHTS = {1: (1.0,), 2: (0.25, 0.75), 3: (0.5, 0.25, 0.25)}
 
 
 @st.composite
-def finite_scenario_models(draw, smoothing=st.none()):
-    """A bundle or tabulated model over {0,1}^K with consideration sets,
-    returned with its scenario weights; a drawn smoothing scale other than
-    None makes it a smoothed bundle model."""
-    smoothing = draw(smoothing)
+def finite_scenario_models(draw):
+    """A smoothed bundle model over {0,1}^K with consideration sets,
+    returned with its scenario weights."""
+    smoothing = draw(st.sampled_from((0.5, 1.0, 2.0)))
     dims = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
     n_goods = len(dims)
     lattice = list(itertools.product((0.0, 1.0), repeat=n_goods))
     subsets = st.sets(st.sampled_from(lattice), min_size=1)
+    pairs = list(itertools.combinations(range(1, n_goods + 1), 2))
     weights = DYADIC_WEIGHTS[draw(st.integers(1, 3))]
-    if smoothing is not None or draw(st.booleans()):
-        pairs = list(itertools.combinations(range(1, n_goods + 1), 2))
-        scenarios = tuple(
-            BundleScenario(
-                w,
-                tuple(draw(st.lists(dyadic, min_size=n_goods, max_size=n_goods))),
-                tuple((j, k, draw(dyadic)) for j, k in pairs),
-                draw(st.none() | subsets.map(frozenset)),
-            )
-            for w in weights
+    scenarios = tuple(
+        BundleScenario(
+            w,
+            tuple(draw(st.lists(dyadic, min_size=n_goods, max_size=n_goods))),
+            tuple((j, k, draw(dyadic)) for j, k in pairs),
+            draw(st.none() | subsets.map(frozenset)),
         )
-        return BundleModel(dims=dims, scenarios=scenarios, smoothing=smoothing), weights
-    tables = []
-    for _ in weights:
-        keys = draw(subsets)
-        considered = draw(st.sets(st.sampled_from(sorted(keys)), min_size=1))
-        tables.append({y: draw(dyadic) if y in considered else EXCLUDED for y in keys})
-    return TabulatedModel(dims=dims, weights=weights, tables=tuple(tables)), weights
+        for w in weights
+    )
+    return BundleModel(dims=dims, scenarios=scenarios, smoothing=smoothing), weights
 
 
 def draw_point_and_support(data, model, coords=dyadic):
@@ -246,17 +217,6 @@ def assert_batched_rows(model, x, support, reference, atol):
 
 
 @given(finite_scenario_models(), st.data())
-def test_hard_argmax_kernel_matches_solve_choice(model_weights, data):
-    model, weights = model_weights
-    x, support = draw_point_and_support(data, model)
-
-    def reference(beta):
-        return sum(w * solve_choice(model, x, beta, t) for t, w in enumerate(weights))
-
-    assert_batched_rows(model, x, support, reference, 1e-15)
-
-
-@given(finite_scenario_models(smoothing=st.sampled_from((0.5, 1.0, 2.0))), st.data())
 def test_smoothed_bundle_kernel_matches_softmax_enumeration(model_weights, data):
     model, weights = model_weights
     x, support = draw_point_and_support(data, model)
@@ -265,7 +225,7 @@ def test_smoothed_bundle_kernel_matches_softmax_enumeration(model_weights, data)
         idx = loop_indices(model, x, beta)
         out = np.zeros(model.n_goods)
         for w, scen in zip(weights, model.scenarios):
-            bundles = [y for y in model.lattice if scen.disturbance(y) is not EXCLUDED]
+            bundles = [y for y in model.lattice if scen.disturbance(y) > -np.inf]
             z = np.array([(np.dot(y, idx) + scen.disturbance(y)) for y in bundles])
             z = (z - z.max()) / model.smoothing
             p = np.exp(z) / np.exp(z).sum()
@@ -338,13 +298,6 @@ def _batch_models():
         ),
         smoothing=0.7,
     )
-    hard = BundleModel(
-        dims=(1, 2),
-        scenarios=(
-            BundleScenario(0.5, (0.25, -0.5), ((1, 2, 0.5),)),
-            BundleScenario(0.5, (0.0, 0.0)),
-        ),
-    )
     power = LogitModel(
         dims=(1, 1, 1), alphas=(0.2, 0.0, -0.4), index_form="power", center=np.ones(3)
     )
@@ -352,7 +305,6 @@ def _batch_models():
         "logit_linear": LogitModel(dims=(2, 1), alphas=(0.1, -0.3), outside_good=True),
         "logit_power": power,
         "smoothed_bundle": smoothed,
-        "hard_argmax_bundle": hard,
     }
 
 

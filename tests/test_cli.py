@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -270,7 +271,7 @@ def _set(path, value, *more):
         for where, what in ((path, value),) + more:
             block = raw
             for key in where[:-1]:
-                block = block.setdefault(key, {})
+                block = block[key] if isinstance(key, int) else block.setdefault(key, {})
             block[where[-1]] = what
 
     return edit
@@ -342,6 +343,36 @@ def _set(path, value, *more):
             "independence_k2",
             _set(("beta", "marginals"), [{"values": [True, 2.0], "weights": [0.5, 0.5]}] * 2),
         ),
+        (
+            "logit_k2_homogeneous",
+            _set(
+                ("model",),
+                {
+                    "type": "logit",
+                    "dims": [1, 1],
+                    "alphas": [0.3, -0.2],
+                    "outside_good": True,
+                    "index_form": "power",
+                    "center": [1.0, 1.0],
+                },
+                (("beta", "points"), [[1.0, 1.5], [2.0, 0.5]]),
+                (("beta", "weights"), [0.5, 0.5]),
+                (("recovery", "max_order"), 3),
+                (("recovery", "scales"), {"1": 1.5, "2": 2.5, "3": 4.5}),
+                (("welfare",), None),
+            ),
+        ),
+        ("logit_k2_mixture", _set(("beta", "points", 0, 0), float("nan"))),
+        ("logit_k2_mixture", _set(("beta", "weights", 1), float("nan"))),
+        ("independence_k2", _set(("beta", "marginals", 1, "values", 0), float("inf"))),
+        ("independence_k2", _set(("model", "alphas", 0), float("-inf"))),
+        ("bundle_k2_smoothed", _set(("model", "scenarios", 2, "weight"), float("nan"))),
+        ("bundle_k2_smoothed", _set(("model", "scenarios", 0, "intercepts", 1), float("inf"))),
+        (
+            "bundle_k2_smoothed",
+            _set(("model", "scenarios", 1, "complementarities", 0, 2), float("-inf")),
+        ),
+        ("logit_k2_mixture", _set(("model", "alphas", 1), 10**400)),
     ],
     ids=[
         "scales_list",
@@ -384,6 +415,15 @@ def _set(path, value, *more):
         "welfare_point_string",
         "beta_point_boolean",
         "marginal_value_boolean",
+        "power_index_order_three",
+        "beta_point_nan",
+        "beta_weight_nan",
+        "marginal_value_infinite",
+        "alpha_negative_infinite",
+        "scenario_weight_nan",
+        "intercept_infinite",
+        "complementarity_negative_infinite",
+        "alpha_integer_beyond_float_range",
     ],
 )
 def test_invalid_config_exits_one(tmp_path, capsys, name, edit):
@@ -406,8 +446,10 @@ def test_wrong_sign_scale_failing_convexity_exits_two(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     command = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    # the child process imports rcpum from wherever this one did
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
-        [sys.executable, "-m", "rcpum.cli", *command], capture_output=True, text=True
+        [sys.executable, "-m", "rcpum.cli", *command], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -437,12 +479,11 @@ def test_vknown_route_reads_kernel_partials_on_smoothed_bundle(tmp_path):
                 "weights": [1.0],
                 "tables": [{"[0, 0]": 0.0, "[1, 0]": 0.2, "[0, 1]": -0.1}],
             },
-            "hard-argmax tabulated model: mean demand is piecewise constant, "
-            "so its derivatives at the center identify no moment",
+            "unknown model type 'tabulated'",
         ),
         (
             {"type": "bundle", "dims": [1, 1], "scenarios": [{"weight": 1.0, "intercepts": [0, 1]}]},
-            "hard-argmax bundle model: mean demand is piecewise constant, "
+            "without it the choice is a hard argmax, whose mean demand is piecewise constant, "
             "so its derivatives at the center identify no moment",
         ),
         (
@@ -462,25 +503,38 @@ def test_vknown_without_v_derivs_names_the_cause(model, message):
         parse_config(raw)
 
 
-def test_hard_argmax_tie_at_center_exits_one(tmp_path, capsys):
-    # every bundle ties at the center, so finite differences straddle the
-    # jumps of a piecewise-constant mean demand and would report wrong moments
+def _run_tie_at_center(tmp_path, model):
     raw = {
-        "model": {
-            "type": "tabulated",
-            "dims": [1, 1],
-            "weights": [1.0],
-            "tables": [{"[0, 0]": 0.0, "[1, 0]": 0.0, "[0, 1]": 0.0}],
-        },
+        "model": model,
         "beta": {"type": "discrete", "points": [[1.0, 1.0], [1.0, 3.0]], "weights": [0.5, 0.5]},
         "recovery": {"route": "scale", "max_order": 2, "scales": {"1": 1.0, "2": 1.0}},
     }
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
-    assert run(cfg, tmp_path / "out") == 1
-    err = capsys.readouterr().err
-    assert "config error: hard-argmax tabulated model: mean demand is piecewise constant" in err
+    code = run(cfg, tmp_path / "out")
     assert not (tmp_path / "out" / "summary.json").exists()
+    return code
+
+
+def test_hard_argmax_tie_at_center_exits_one(tmp_path, capsys):
+    # every bundle ties at the center, so finite differences of the hard
+    # argmax would straddle the jumps of a piecewise-constant mean demand
+    model = {"type": "bundle", "dims": [1, 1], "scenarios": [{"weight": 1.0, "intercepts": [0, 0]}]}
+    assert _run_tie_at_center(tmp_path, model) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bundle smoothing must be a positive finite Gumbel scale")
+    assert "hard argmax, whose mean demand is piecewise constant" in err
+
+
+def test_tabulated_model_type_is_unknown(tmp_path, capsys):
+    model = {
+        "type": "tabulated",
+        "dims": [1, 1],
+        "weights": [1.0],
+        "tables": [{"[0, 0]": 0.0, "[1, 0]": 0.0, "[0, 1]": 0.0}],
+    }
+    assert _run_tie_at_center(tmp_path, model) == 1
+    assert "config error: unknown model type 'tabulated'" in capsys.readouterr().err
 
 
 def test_independence_route_keeps_orders_below_an_irrelevant_one(tmp_path):

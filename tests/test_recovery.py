@@ -345,19 +345,15 @@ def test_plugin_chained_product_identity(logit_mixture):
     # a two-step chained estimate is exactly the product of the step ratios
     model, beta = logit_mixture
     est = exact_estimates(model.alphas, beta, 2)
-    table = {"value": None}
-
-    from rcpum.recovery import _MappingTable
-
-    mt = _MappingTable(DIMS, est)
     m11 = MomentIndex.of((1, 1), (1, 1))
     m12 = MomentIndex.of((1, 1), (2, 1))
     m22 = MomentIndex.of((2, 1), (2, 1))
-    step1 = mt.value(2, m11.pairs)
-    r1 = mt.value(1, m12.pairs) / step1
-    r2 = mt.value(1, m22.pairs) / mt.value(2, m12.pairs)
-    got = plugin_estimate(DIMS, est, m22, m11)
-    assert got == r1 * r2
+    r1 = est[(1, m12)] / est[(2, m11)]
+    r2 = est[(1, m22)] / est[(2, m12)]
+    assert plugin_estimate(DIMS, est, m22, m11) == r1 * r2
+    # estimates keyed by bare (good, characteristic) pairs chain the same way
+    bare = {(k, idx.pairs): v for (k, idx), v in est.items()}
+    assert plugin_estimate(DIMS, bare, m22.pairs, m11.pairs) == r1 * r2
 
 
 def test_plugin_zero_denominator(logit_mixture):
