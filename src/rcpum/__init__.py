@@ -7,7 +7,6 @@ consistency diagnostics.
 
 from .asf import AsfEvaluator, ybar_given_beta
 from .diagnostics import (
-    DiagnosticsReport,
     build_report,
     cauchy_schwarz_check,
     complementarity_signs,

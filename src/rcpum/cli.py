@@ -49,7 +49,7 @@ from .numdiff import MAX_ORDER, FdScheme, derivative_table
 from .recovery import (
     DEFAULT_TAU_REL,
     VDerivTable,
-    chain_ratios,
+    chain_ratios,  # unused here: bench/tracing.py wraps it, tests/test_bench_contract.py checks it
     recover_moments_independence,
     recover_moments_scale,
     recover_moments_vknown,
@@ -128,7 +128,9 @@ _MODEL_KEYS = {
 }
 
 
-def _build_model(block):
+def _model_dims(block):
+    """The model block's keys checked and its ``dims`` read, before anything
+    of ``sum(dims)`` rows is built."""
     if not isinstance(block, dict) or "type" not in block:
         raise ConfigurationError("model must be an object with a 'type' key")
     kind = block["type"]
@@ -140,7 +142,10 @@ def _build_model(block):
         required=("type", "dims"),
         optional=("center", "nonnegative_domain") + _MODEL_KEYS[kind],
     )
-    dims = tuple(_integer(d, "model.dims[]") for d in block["dims"])
+    return tuple(_integer(d, "model.dims[]") for d in block["dims"])
+
+
+def _build_model(block, dims):
     common = dict(
         dims=dims,
         center=None
@@ -148,7 +153,7 @@ def _build_model(block):
         else _covariates(block["center"], sum(dims), "model.center"),
         nonnegative_domain=_flag(block, "nonnegative_domain", "model"),
     )
-    if kind == "logit":
+    if block["type"] == "logit":
         return LogitModel(
             alphas=_numbers(block.get("alphas", (0.0,) * len(dims)), "model.alphas[]"),
             outside_good=_flag(block, "outside_good", "model"),
@@ -193,24 +198,31 @@ def _build_model(block):
     )
 
 
+_BETA_KEYS = {"discrete": ("points", "weights"), "product": ("marginals",)}
+
+
 def _build_beta(block, dims):
-    _expect_keys(
-        block, "beta", required=("type",), optional=("points", "weights", "marginals")
-    )
+    """The coefficient distribution; both types check their length against
+    ``sum(dims)`` without allocating anything of that size."""
+    if not isinstance(block, dict) or "type" not in block:
+        raise ConfigurationError("beta must be an object with a 'type' key")
     kind = block["type"]
+    if kind not in _BETA_KEYS:
+        raise ConfigurationError(f"unknown beta distribution type {kind!r}")
+    _expect_keys(block, "beta", required=("type",) + _BETA_KEYS[kind])
     if kind == "discrete":
         points = [_numbers(p, "beta.points[][]") for p in block["points"]]
         return DiscreteBeta(dims, points, _numbers(block["weights"], "beta.weights[]"))
-    if kind == "product":
-        marginals = tuple(
+    marginals = []
+    for m in block["marginals"]:
+        _expect_keys(m, "beta.marginals[]", required=("values", "weights"))
+        marginals.append(
             UnivariateAtoms(
                 _numbers(m["values"], "beta.marginals[].values[]"),
                 _numbers(m["weights"], "beta.marginals[].weights[]"),
             )
-            for m in block["marginals"]
         )
-        return ProductBeta(dims, marginals)
-    raise ConfigurationError(f"unknown beta distribution type {kind!r}")
+    return ProductBeta(dims, tuple(marginals))
 
 
 def _build_scheme(block):
@@ -233,6 +245,25 @@ def _optional_object(block, key, where):
     if value is not None and not isinstance(value, dict):
         raise ConfigurationError(f"{where}.{key} must be an object")
     return value or {}
+
+
+def _keyed_numbers(rec, key, what, upper, lengths):
+    """``recovery.<key>`` as numbers keyed by sorted tuples: each JSON key
+    lists comma-separated integers from 1 to ``upper``, as many as one of
+    ``lengths``, and keys naming one tuple must agree."""
+    where = f"recovery.{key}"
+    out = {}
+    for k, v in _optional_object(rec, key, "recovery").items():
+        try:
+            ints = tuple(sorted(int(part) for part in k.split(",")))
+        except ValueError:
+            ints = ()
+        if len(ints) not in lengths or not all(1 <= i <= upper for i in ints):
+            raise ConfigurationError(f"{where} keys must be {what}, got {k!r}")
+        value = _number(v, f"{where}[{k}]")
+        if out.setdefault(ints, value) != value:
+            raise ConfigurationError(f"{where} gives {ints} twice: {out[ints]} and {value}")
+    return out
 
 
 def _covariates(value, n, where):
@@ -297,8 +328,11 @@ def parse_config(raw):
         required=("model", "beta", "recovery"),
         optional=("fd", "welfare"),
     )
-    model = _build_model(raw["model"])
-    beta = _build_beta(raw["beta"], model.dims)
+    # the beta is built first: its length check rejects a huge dims before
+    # the model allocates a centre and a good-sum matrix of sum(dims) rows
+    dims = _model_dims(raw["model"])
+    beta = _build_beta(raw["beta"], dims)
+    model = _build_model(raw["model"], dims)
 
     rec = raw["recovery"]
     _expect_keys(
@@ -320,9 +354,9 @@ def parse_config(raw):
             "the falling factorial rho(rho-1)...(rho-n+1), not rho**n, so a derivative that "
             "repeats a shifter mixes in lower-order moments"
         )
+    orders = f"orders from 1 to {MAX_ORDER}"
     scales = {
-        int(k): _number(v, f"recovery.scales[{k}]")
-        for k, v in _optional_object(rec, "scales", "recovery").items()
+        m: v for (m,), v in _keyed_numbers(rec, "scales", orders, MAX_ORDER, (1,)).items()
     }
     if route == "scale":
         for m in range(1, max_order + 1):
@@ -334,11 +368,9 @@ def parse_config(raw):
         raise ConfigurationError("independence route needs a positive recovery.abs_mean")
     v_derivs = None
     if rec.get("v_derivs") is not None:
+        goods = f"lists of 2 to {MAX_ORDER + 1} goods from 1 to {len(dims)}"
         v_derivs = VDerivTable(
-            {
-                tuple(int(g) for g in k.split(",")): _number(v, f"recovery.v_derivs[{k}]")
-                for k, v in _optional_object(rec, "v_derivs", "recovery").items()
-            }
+            _keyed_numbers(rec, "v_derivs", goods, len(dims), range(2, MAX_ORDER + 2))
         )
     if route == "vknown" and v_derivs is None:
         # the kernel's exact partials serve every linear-index model
@@ -351,7 +383,7 @@ def parse_config(raw):
 
     welfare = raw.get("welfare")
     if welfare is not None:
-        welfare = _parse_welfare(welfare, sum(model.dims))
+        welfare = _parse_welfare(welfare, sum(dims))
 
     scheme = _build_scheme(raw.get("fd"))
     if model.nonnegative_domain and scheme.kind != "forward":
@@ -385,44 +417,30 @@ def _write_csv(path, header, rows):
 
 
 def _recover(config, table):
-    """Run the configured route, tolerating per-order failures.
+    """Recover order by order with the configured route, stopping at the
+    first order that fails.
 
-    Returns (tables keyed by order, failure record or None); lower-order
-    results are kept when recovery aborts at some order.
+    Returns (tables keyed by order, failure record or None); the orders
+    below a failing one are kept.
     """
     tables = {}
-    failure = None
-    if config.route == "independence":
-        order = config.max_order
-        while order >= 1:
-            try:
-                tables = recover_moments_independence(table, order, config.abs_mean, config.tau_rel)
-                break
-            except _RUN_FAILURES as exc:
-                failure = _failure_record("recovery", exc)
-                order = (getattr(exc, "order", None) or 1) - 1
-        return tables, failure
-
-    if config.route == "vknown":
-        for order in range(1, config.max_order + 1):
-            try:
+    for order in range(1, config.max_order + 1):
+        try:
+            if config.route == "scale":
+                tables[order] = recover_moments_scale(
+                    table, order, config.scales[order], config.tau_rel
+                )
+            elif config.route == "independence":
+                tables[order] = recover_moments_independence(
+                    table, order, config.abs_mean, tables.get(order - 1), config.tau_rel
+                )
+            else:
                 tables[order] = recover_moments_vknown(
                     table, config.v_derivs, order, config.tau_rel
                 )
-            except _RUN_FAILURES as exc:
-                failure = _failure_record(f"recovery order {order}", exc)
-                break
-        return tables, failure
-
-    for order in range(1, config.max_order + 1):
-        try:
-            tables[order] = recover_moments_scale(
-                table, order, config.scales[order], config.tau_rel
-            )
         except _RUN_FAILURES as exc:
-            failure = _failure_record(f"recovery order {order}", exc)
-            break
-    return tables, failure
+            return tables, _failure_record(f"recovery order {order}", exc)
+    return tables, None
 
 
 def _failure_record(stage, exc):
@@ -507,17 +525,10 @@ def run(config_path, out_dir, max_order=None, scheme=None, route=None):
 
     report = None
     if table is not None:
+        # the chains that the reported moments came from
         relevance = {}
-        for order in range(1, config.max_order + 1):
-            mt = moment_tables.get(order)
-            chained = None if mt is None else mt.relevance
-            # chain only what recovery did not: the vknown route, or past a failure
-            if chained is None:
-                try:
-                    chained = chain_ratios(table, order, config.tau_rel).relevance
-                except _RUN_FAILURES:
-                    continue
-            relevance.update(chained)
+        for mt in moment_tables.values():
+            relevance.update(mt.relevance)
         report = build_report(
             table,
             v_derivs=v_table,
@@ -638,7 +649,7 @@ def _write_reports(out, config, asf_center, moment_tables, v_table, welfare_out,
             },
             "v_derivatives": {label: v for label, v, _ in v_rows},
             "welfare": welfare_out,
-            "diagnostics": None if report is None else report.as_dict(),
+            "diagnostics": report,
         },
     }
     (out / "summary.json").write_text(

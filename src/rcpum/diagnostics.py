@@ -9,49 +9,9 @@ inequalities, not finite-precision tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .exceptions import ConfigurationError, RelevanceError
 from .recovery import DEFAULT_TAU_REL
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Diagnostics of one run.
-
-    ``overid_dof`` counts the restrictions the factorization puts on the
-    recovered orders of the table.  At 0 (one good, or two goods with one
-    characteristic each) the value-function candidates agree by
-    construction, so ``overid_residual`` is rounding only and tests nothing.
-    """
-
-    cauchy_schwarz_stat: float | None
-    overid_residual: float | None
-    overid_dof: int
-    relevance_map: dict
-    sign_beta11: str
-    complementarity_signs: list | None
-
-    def as_dict(self):
-        """The report as JSON-ready values; the relevance map is keyed by
-        the comma-joined good tuple."""
-        return {
-            "cauchy_schwarz_stat": None
-            if self.cauchy_schwarz_stat is None
-            else float(self.cauchy_schwarz_stat),
-            "overid_residual": self.overid_residual,
-            "overid_dof": self.overid_dof,
-            "sign_beta11": self.sign_beta11,
-            "complementarity_signs": self.complementarity_signs,
-            "relevance": {
-                ",".join(map(str, gamma)): {
-                    "component": k,
-                    "index": None if idx is None else str(idx),
-                    "magnitude": float(mag),
-                }
-                for gamma, (k, idx, mag) in self.relevance_map.items()
-            },
-        }
 
 
 def cauchy_schwarz_check(table, tau_rel=DEFAULT_TAU_REL):
@@ -125,20 +85,35 @@ def complementarity_signs(v_derivs, tau_rel=DEFAULT_TAU_REL):
 
 
 def build_report(table, v_derivs=None, relevance=None, tau_rel=DEFAULT_TAU_REL):
-    """Assemble the full report from a table and optional recovery output."""
+    """The diagnostics block of ``summary.json``, as JSON-ready values, from
+    a table and optional recovery output.
+
+    ``overid_dof`` counts the restrictions the factorization puts on the
+    recovered orders of the table.  At 0 (one good, or two goods with one
+    characteristic each) the value-function candidates agree by
+    construction, so ``overid_residual`` is rounding only and tests nothing.
+    The relevance map is keyed by the comma-joined good tuple.
+    """
     try:
-        cs = cauchy_schwarz_check(table, tau_rel)
+        cs = float(cauchy_schwarz_check(table, tau_rel))
     except (ConfigurationError, RelevanceError, KeyError):
         cs = None
     residual, dof = None, 0
     if v_derivs is not None:
         residual = overid_residual(v_derivs, tau_rel)
         dof = overid_dof(table.dims, {len(g) - 1 for g in v_derivs.entries})
-    return DiagnosticsReport(
-        cauchy_schwarz_stat=cs,
-        overid_residual=residual,
-        overid_dof=dof,
-        relevance_map=dict(relevance or {}),
-        sign_beta11=sign_first_moment(table, tau_rel),
-        complementarity_signs=complementarity_signs(v_derivs, tau_rel) if v_derivs else None,
-    )
+    return {
+        "cauchy_schwarz_stat": cs,
+        "overid_residual": residual,
+        "overid_dof": dof,
+        "sign_beta11": sign_first_moment(table, tau_rel),
+        "complementarity_signs": complementarity_signs(v_derivs, tau_rel) if v_derivs else None,
+        "relevance": {
+            ",".join(map(str, gamma)): {
+                "component": k,
+                "index": None if idx is None else str(idx),
+                "magnitude": float(mag),
+            }
+            for gamma, (k, idx, mag) in (relevance or {}).items()
+        },
+    }

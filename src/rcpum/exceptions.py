@@ -22,24 +22,11 @@ class PermutationConditionError(RcpumError):
 
 
 class RelevanceError(RcpumError):
-    """No derivative entry above the relevance threshold for a good tuple.
-
-    ``good_tuple`` names the offending tuple and ``order`` the moment order
-    at which recovery stopped.
-    """
-
-    def __init__(self, message, good_tuple=None, order=None):
-        super().__init__(message)
-        self.good_tuple = good_tuple
-        self.order = order
+    """No derivative entry above the relevance threshold for a good tuple."""
 
 
 class AnchorError(RcpumError):
     """The inductive anchor moment vanished at some order."""
-
-    def __init__(self, message, order=None):
-        super().__init__(message)
-        self.order = order
 
 
 class WeightingError(RcpumError):

@@ -40,13 +40,13 @@ class MomentTable:
     """Recovered moments of one order.
 
     ``relevance`` is the relevance map of the ratio chain the moments came
-    from, or None when the route does not chain ratios.
+    from, empty when the route does not chain ratios.
     """
 
     order: int
     entries: dict
     route: str
-    relevance: dict | None = None
+    relevance: dict = field(default_factory=dict)
 
     def __getitem__(self, idx):
         return self.entries[idx]
@@ -124,8 +124,7 @@ def ratio_of_moments(table, num, den, tau_rel=DEFAULT_TAU_REL):
     den_val = table.value(den[0], den[1].pairs)
     if abs(den_val) <= tau_rel:
         raise RelevanceError(
-            f"denominator entry {den} has magnitude {abs(den_val):.3e} <= {tau_rel}",
-            good_tuple=den[1].goods,
+            f"denominator entry {den} has magnitude {abs(den_val):.3e} <= {tau_rel}"
         )
     return table.value(num[0], num[1].pairs) / den_val
 
@@ -170,11 +169,7 @@ def chain_ratios(table, order, tau_rel=DEFAULT_TAU_REL):
         if cand is not None and (anchor is None or abs(cand[1]) > abs(anchor[2])):
             anchor = (k, cand[0], cand[1])
     if anchor is None:
-        raise RelevanceError(
-            f"no derivative entry above {tau_rel} for good tuple {start}",
-            good_tuple=start,
-            order=order,
-        )
+        raise RelevanceError(f"no derivative entry above {tau_rel} for good tuple {start}")
     k0, ref_idx, ref_val = anchor
 
     ratios = {}
@@ -211,11 +206,7 @@ def chain_ratios(table, order, tau_rel=DEFAULT_TAU_REL):
                 queue.append(gamma)
     if pending:
         missing = sorted(pending)[0]
-        raise RelevanceError(
-            f"no relevant characteristic tuple found for good tuple {missing}",
-            good_tuple=missing,
-            order=order,
-        )
+        raise RelevanceError(f"no relevant characteristic tuple found for good tuple {missing}")
     return ChainResult(order=order, reference=ref_idx, ratios=ratios, relevance=relevance)
 
 
@@ -226,9 +217,7 @@ def _rescaled_entries(chain, anchor_idx, anchor_value, tau_rel, what):
     r = chain.ratios[anchor_idx]
     if abs(r) <= tau_rel:
         raise RelevanceError(
-            f"the {what} moment {anchor_idx} is numerically irrelevant (ratio {r:.3e})",
-            good_tuple=anchor_idx.goods,
-            order=chain.order,
+            f"the {what} moment {anchor_idx} is numerically irrelevant (ratio {r:.3e})"
         )
     return {idx: (ratio / r) * anchor_value for idx, ratio in chain.ratios.items()}
 
@@ -243,55 +232,48 @@ def recover_moments_scale(table, order, known_scale, tau_rel=DEFAULT_TAU_REL):
     return MomentTable(order, entries, "scale", chain.relevance)
 
 
-def recover_moments_independence(table, max_order, abs_mean, tau_rel=DEFAULT_TAU_REL):
-    """Moments of all orders up to ``max_order`` under first-coefficient
-    independence, anchored by the known absolute first moment.
+def recover_moments_independence(table, order, abs_mean, lower=None, tau_rel=DEFAULT_TAU_REL):
+    """Moments of one order under first-coefficient independence, anchored
+    by the known absolute first moment.
 
     The sign of the first moment is read from the own first derivative of
-    good 1 (positive diagonal curvature of the value function); each higher
-    order is anchored by multiplying the signed mean into a recovered moment
-    that avoids the first coefficient.
+    good 1 (positive diagonal curvature of the value function), and order 1
+    is scaled by the signed mean.  A higher order is anchored by multiplying
+    the signed mean into a moment of ``lower``, the recovered table of the
+    order below, that avoids the first coefficient.
     """
     d11 = table.value(1, ((1, 1),))
     if abs(d11) <= tau_rel:
         raise RelevanceError(
-            "own first derivative of good 1 is numerically zero; sign unidentified",
-            good_tuple=(1,),
-            order=1,
+            "own first derivative of good 1 is numerically zero; sign unidentified"
         )
     mean11 = abs_mean if d11 > 0 else -abs_mean
+    if order == 1:
+        chain = chain_ratios(table, 1, tau_rel)
+        entries = _rescaled_entries(chain, MomentIndex(((1, 1),)), mean11, tau_rel, "first")
+        return MomentTable(1, entries, "independence", chain.relevance)
 
-    chain1 = chain_ratios(table, 1, tau_rel)
-    m11 = MomentIndex(((1, 1),))
-    entries = _rescaled_entries(chain1, m11, mean11, tau_rel, "first")
-    tables = {1: MomentTable(1, entries, "independence", chain1.relevance)}
-
-    for order in range(2, max_order + 1):
-        prev = tables[order - 1]
-        candidates = [
-            (idx, val)
-            for idx, val in prev.items()
-            if (1, 1) not in idx.pairs and abs(val) > tau_rel
-        ]
-        # The factorization needs the anchor to avoid the first coefficient;
-        # tuples avoiding good 1 entirely are preferred when they exist.
-        strict = [c for c in candidates if 1 not in c[0].goods]
-        pool = strict or candidates
-        if not pool:
-            raise AnchorError(
-                f"no nonzero order-{order - 1} moment avoiding the first coefficient",
-                order=order,
-            )
-        anchor_idx, anchor_val = max(pool, key=lambda c: (abs(c[1]), c[0]))
-        lifted_idx = MomentIndex(anchor_idx.pairs + ((1, 1),))
-        lifted_val = mean11 * anchor_val
-        chain = chain_ratios(table, order, tau_rel)
-        try:
-            entries = _rescaled_entries(chain, lifted_idx, lifted_val, tau_rel, "anchor")
-        except RelevanceError as exc:
-            raise AnchorError(str(exc), order=order) from exc
-        tables[order] = MomentTable(order, entries, "independence", chain.relevance)
-    return tables
+    if lower is None or lower.order != order - 1:
+        raise ConfigurationError(f"order {order} needs the recovered order-{order - 1} moments")
+    candidates = [
+        (idx, val)
+        for idx, val in lower.items()
+        if (1, 1) not in idx.pairs and abs(val) > tau_rel
+    ]
+    # The factorization needs the anchor to avoid the first coefficient;
+    # tuples avoiding good 1 entirely are preferred when they exist.
+    strict = [c for c in candidates if 1 not in c[0].goods]
+    pool = strict or candidates
+    if not pool:
+        raise AnchorError(f"no nonzero order-{order - 1} moment avoiding the first coefficient")
+    anchor_idx, anchor_val = max(pool, key=lambda c: (abs(c[1]), c[0]))
+    lifted_idx = MomentIndex(anchor_idx.pairs + ((1, 1),))
+    chain = chain_ratios(table, order, tau_rel)
+    try:
+        entries = _rescaled_entries(chain, lifted_idx, mean11 * anchor_val, tau_rel, "anchor")
+    except RelevanceError as exc:
+        raise AnchorError(str(exc)) from exc
+    return MomentTable(order, entries, "independence", chain.relevance)
 
 
 def recover_v_derivatives(table, moments, tau_rel=DEFAULT_TAU_REL):
@@ -354,8 +336,7 @@ def same_good_ratios(table, component, good_tuple, xi, xi_tilde, tau_rel=DEFAULT
     den = table.value(component, den_idx.pairs)
     if abs(den) <= tau_rel:
         raise RelevanceError(
-            f"denominator entry {den_idx} has magnitude {abs(den):.3e} <= {tau_rel}",
-            good_tuple=good_tuple,
+            f"denominator entry {den_idx} has magnitude {abs(den):.3e} <= {tau_rel}"
         )
     return table.value(component, num_idx.pairs) / den
 

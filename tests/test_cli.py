@@ -263,9 +263,10 @@ def test_nonnegative_domain_requires_forward(tmp_path, capsys):
     )
 
 
-def _set(path, value, *more):
+def _set(path, value, *more, names=()):
     """Config edit setting ``path`` to ``value``, and each further
-    (path, value) pair of ``more``."""
+    (path, value) pair of ``more``; ``names`` lists what the error message
+    of the edited config must name."""
 
     def edit(raw):
         for where, what in ((path, value),) + more:
@@ -274,6 +275,7 @@ def _set(path, value, *more):
                 block = block[key] if isinstance(key, int) else block.setdefault(key, {})
             block[where[-1]] = what
 
+    edit.names = names
     return edit
 
 
@@ -373,6 +375,57 @@ def _set(path, value, *more):
             _set(("model", "scenarios", 1, "complementarities", 0, 2), float("-inf")),
         ),
         ("logit_k2_mixture", _set(("model", "alphas", 1), 10**400)),
+        (
+            "independence_k2",
+            _set(
+                ("beta", "marginals"),
+                [{"values": [0.5, 1.5], "weights": [0.5, 0.5], "extra": 1}] * 2,
+                names=("beta.marginals[]", "extra"),
+            ),
+        ),
+        (
+            "logit_k2_mixture",
+            _set(("beta",), {"type": "discrete", "weights": [0.5, 0.5]}, names=("beta", "points")),
+        ),
+        # beyond any memory: the beta's length check must come before the model allocates
+        ("logit_k2_mixture", _set(("model", "dims"), [10**12, 1], names=("1000000000001",))),
+        (
+            "logit_k2_mixture",
+            _set(
+                ("recovery", "route"),
+                "vknown",
+                (("recovery", "v_derivs"), {"0,1": 1.0}),
+                names=("recovery.v_derivs", "'0,1'"),
+            ),
+        ),
+        (
+            "logit_k2_mixture",
+            _set(("recovery", "v_derivs"), {"1,3": 1.0}, names=("recovery.v_derivs", "'1,3'")),
+        ),
+        (
+            "logit_k2_mixture",
+            _set(("recovery", "v_derivs"), {"1": 1.0}, names=("recovery.v_derivs", "'1'")),
+        ),
+        (
+            "logit_k2_mixture",
+            _set(("recovery", "v_derivs"), {"a,b": 1.0}, names=("recovery.v_derivs", "'a,b'")),
+        ),
+        (
+            "logit_k2_mixture",
+            _set(
+                ("recovery", "v_derivs"),
+                {"1,2": -0.1, "2,1": -0.2},
+                names=("recovery.v_derivs", "(1, 2) twice"),
+            ),
+        ),
+        (
+            "logit_k2_mixture",
+            _set(("recovery", "scales", "0"), 1.0, names=("recovery.scales", "'0'")),
+        ),
+        (
+            "logit_k2_mixture",
+            _set(("recovery", "scales", "9"), 1.0, names=("recovery.scales", "'9'")),
+        ),
     ],
     ids=[
         "scales_list",
@@ -424,6 +477,16 @@ def _set(path, value, *more):
         "intercept_infinite",
         "complementarity_negative_infinite",
         "alpha_integer_beyond_float_range",
+        "marginal_unknown_key",
+        "discrete_beta_without_points",
+        "dims_beyond_memory",
+        "v_derivs_good_zero",
+        "v_derivs_good_beyond_k",
+        "v_derivs_one_good",
+        "v_derivs_good_not_integer",
+        "v_derivs_conflicting_orderings",
+        "scales_order_zero",
+        "scales_order_nine",
     ],
 )
 def test_invalid_config_exits_one(tmp_path, capsys, name, edit):
@@ -435,6 +498,8 @@ def test_invalid_config_exits_one(tmp_path, capsys, name, edit):
     err = capsys.readouterr().err
     assert "config error:" in err
     assert "Traceback" not in err
+    for word in edit.names:
+        assert word in err
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
@@ -555,16 +620,21 @@ def test_independence_route_keeps_orders_below_an_irrelevant_one(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, route",
+    "name, route, edit, chains, stage",
     [
-        ("logit_k2_mixture", None),
-        ("independence_k2", None),
-        ("bundle_k2_smoothed", None),
-        ("logit_k2_mixture", "vknown"),
+        ("logit_k2_mixture", None, None, [1, 2, 3], None),
+        ("independence_k2", None, None, [1, 2, 3], None),
+        ("bundle_k2_smoothed", None, None, [1, 2], None),
+        # order 2 has no entry above the threshold: recovery stops there
+        ("independence_k2", None, _set(("recovery", "tau_rel"), 0.05), [1, 2], "recovery order 2"),
+        # the vknown route divides by value-function partials and chains nothing
+        ("logit_k2_mixture", "vknown", None, [], None),
     ],
-    ids=["scale", "independence", "bundle_scale", "vknown"],
+    ids=["scale", "independence", "bundle_scale", "independence_failing", "vknown"],
 )
-def test_run_chains_each_order_at_most_once(tmp_path, monkeypatch, name, route):
+def test_run_chains_each_order_at_most_once(
+    tmp_path, monkeypatch, name, route, edit, chains, stage
+):
     chained = []
     chain = recovery.chain_ratios
 
@@ -574,11 +644,38 @@ def test_run_chains_each_order_at_most_once(tmp_path, monkeypatch, name, route):
 
     monkeypatch.setattr(recovery, "chain_ratios", counting)
     monkeypatch.setattr(cli, "chain_ratios", counting)
-    assert run(bundled(name), tmp_path / "out", route=route) == 0
-    max_order = json.loads(bundled(name).read_text())["recovery"]["max_order"]
-    # recovery hands its chains to the relevance map; the run chains only
-    # the orders that recovery did not (every order on the vknown route)
-    assert sorted(chained) == list(range(1, max_order + 1))
+    raw = json.loads(bundled(name).read_text())
+    if edit is not None:
+        edit(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert run(cfg, tmp_path / "out", route=route) == (0 if stage is None else 2)
+    assert chained == chains
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (summary["failure"] or {}).get("stage") == stage
+    # the relevance map holds the chains of the reported orders, none of a failing one
+    reported = chains[:-1] if stage else chains
+    relevance = summary["results"]["diagnostics"]["relevance"]
+    assert {len(gamma.split(",")) for gamma in relevance} == set(reported)
+
+
+def test_failing_order_keeps_the_orders_below(tmp_path):
+    raw = json.loads(bundled("independence_k2").read_text())
+    raw["recovery"]["tau_rel"] = 0.05
+    summaries = {}
+    for max_order in (3, 1):
+        raw["recovery"]["max_order"] = max_order
+        cfg = tmp_path / f"cfg{max_order}.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / f"out{max_order}"
+        run(cfg, out)
+        summaries[max_order] = json.loads((out / "summary.json").read_text())
+    assert summaries[3]["failure"]["stage"] == "recovery order 2"
+    assert summaries[1]["failure"] is None
+    results = {m: summary["results"] for m, summary in summaries.items()}
+    assert list(results[3]["moments"]) == ["1"]
+    assert results[3]["moments"] == results[1]["moments"]
+    assert results[3]["diagnostics"]["relevance"] == results[1]["diagnostics"]["relevance"]
 
 
 def test_resolve_config_path_passthrough(tmp_path):

@@ -95,6 +95,7 @@ def mutations(draw):
 @example(("independence_k2", ((("beta", "marginals", 0, "values", 1), "set", 1e308),)))
 @example(("independence_k2", ((("recovery", "max_order"), "set", 1e308),)))
 @example(("logit_k2_mixture", ((("welfare", "trust_radius"), "set", 1e308),)))
+@example(("logit_k2_mixture", ((("model", "dims", 0), "set", 10**12),)))
 def test_mutated_config_exits_cleanly(case):
     name, edits = case
     raw = copy.deepcopy(CONFIGS[name])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -69,12 +71,12 @@ def test_build_report_assembles(logit_mixture_table):
     _, table = logit_mixture_table
     v = VDerivTable({(1, 1): 0.25, (1, 2): -0.25, (2, 2): 0.25})
     report = build_report(table, v_derivs=v, relevance={(1,): (1, None, 0.2)})
-    assert report.cauchy_schwarz_stat == pytest.approx(1.25, rel=1e-5)
-    assert report.sign_beta11 == "+"
-    assert report.complementarity_signs[0][1] == -1
-    block = report.as_dict()
-    assert block["cauchy_schwarz_stat"] == pytest.approx(1.25, rel=1e-5)
-    assert block["relevance"] == {"1": {"component": 1, "index": None, "magnitude": 0.2}}
+    assert report["cauchy_schwarz_stat"] == pytest.approx(1.25, rel=1e-5)
+    assert report["sign_beta11"] == "+"
+    assert report["complementarity_signs"][0][1] == -1
+    assert report["relevance"] == {"1": {"component": 1, "index": None, "magnitude": 0.2}}
+    # the block is what summary.json holds
+    assert json.loads(json.dumps(report)) == report
 
 
 def test_cauchy_schwarz_needs_two_goods():
@@ -88,14 +90,14 @@ def test_cauchy_schwarz_needs_two_goods():
 def test_build_report_overid_dof(logit_mixture_table):
     _, table = logit_mixture_table
     v = VDerivTable({(1, 1): 0.25, (1, 2): -0.25, (2, 2): 0.25})
-    assert build_report(table, v_derivs=v).overid_dof == 0
-    assert build_report(table).overid_residual is None
+    assert build_report(table, v_derivs=v)["overid_dof"] == 0
+    assert build_report(table)["overid_residual"] is None
     dims = (2, 2)
     model = LogitModel(dims=dims, alphas=(0.2, -0.1), outside_good=True)
     beta = DiscreteBeta(dims, [[1.0, 0.5, 1.0, -0.5], [1.0, 1.5, 3.0, 0.5]], [0.5, 0.5])
     wide = derivative_table(AsfEvaluator(model, beta), 2)
     # per recovered order m (read off the partials' lengths m + 1):
     # K*C(D+m-1, m) entries - C(K+m, m+1) partials - C(D+m-1, m) moments + 1
-    assert build_report(wide, v_derivs=v).overid_dof == 8 - 3 - 4 + 1
+    assert build_report(wide, v_derivs=v)["overid_dof"] == 8 - 3 - 4 + 1
     v3 = VDerivTable({**v.entries, (1, 1, 1): 0.1})
-    assert build_report(wide, v_derivs=v3).overid_dof == (8 - 3 - 4 + 1) + (20 - 4 - 10 + 1)
+    assert build_report(wide, v_derivs=v3)["overid_dof"] == (8 - 3 - 4 + 1) + (20 - 4 - 10 + 1)

@@ -29,6 +29,15 @@ from rcpum import logit
 DIMS = (1, 1)
 
 
+def _independence(table, max_order, abs_mean):
+    """Independence-route tables of orders 1 to ``max_order``, each order
+    anchored on the one below."""
+    tables = {}
+    for order in range(1, max_order + 1):
+        tables[order] = recover_moments_independence(table, order, abs_mean, tables.get(order - 1))
+    return tables
+
+
 def test_ratio_of_moments_eq3_pair(logit_mixture_table):
     _, table = logit_mixture_table
     got = ratio_of_moments(
@@ -173,7 +182,7 @@ def test_independence_route_positive_mean():
         (UnivariateAtoms((0.5, 1.5), (0.5, 0.5)), UnivariateAtoms((1.0, 3.0), (0.5, 0.5))),
     )
     table = derivative_table(AsfEvaluator(model, beta), 3)
-    tables = recover_moments_independence(table, 3, 1.0)
+    tables = _independence(table, 3, 1.0)
     for order, mt in tables.items():
         for idx, v in mt.items():
             assert v == pytest.approx(beta.moment(idx), rel=1e-3)
@@ -189,7 +198,7 @@ def test_independence_route_negative_mean():
         (UnivariateAtoms((-1.5, -0.5), (0.5, 0.5)), UnivariateAtoms((1.0, 3.0), (0.5, 0.5))),
     )
     table = derivative_table(AsfEvaluator(model, beta), 2)
-    tables = recover_moments_independence(table, 2, 1.0)
+    tables = _independence(table, 2, 1.0)
     assert tables[1][MomentIndex.of((1, 1))] == pytest.approx(-1.0, rel=1e-6)
     for order, mt in tables.items():
         for idx, v in mt.items():
@@ -199,10 +208,18 @@ def test_independence_route_negative_mean():
 def test_independence_degenerate_first_reduces_to_scale(logit_mixture, logit_mixture_table):
     # beta_11 = 1 a.s.: at order 1 the independence route is the scale route
     _, table = logit_mixture_table
-    ind = recover_moments_independence(table, 1, 1.0)[1]
+    ind = recover_moments_independence(table, 1, 1.0)
     sca = recover_moments_scale(table, 1, 1.0)
     for idx, v in sca.items():
         assert ind[idx] == pytest.approx(v, rel=1e-12)
+
+
+def test_independence_higher_order_needs_the_order_below(logit_mixture_table):
+    _, table = logit_mixture_table
+    first = recover_moments_independence(table, 1, 1.0)
+    for lower in (None, first):
+        with pytest.raises(ConfigurationError, match="order 3 needs the recovered order-2"):
+            recover_moments_independence(table, 3, 1.0, lower)
 
 
 def test_recover_v_derivatives_known_values():
@@ -374,7 +391,7 @@ def test_three_routes_agree_when_all_apply():
     )
     table = derivative_table(AsfEvaluator(model, beta), 2)
     v = VDerivTable(model.kernel.value_partials(3))
-    by_independence = recover_moments_independence(table, 2, 1.0)
+    by_independence = _independence(table, 2, 1.0)
     for order in (1, 2):
         scale = beta.moment(MomentIndex(((1, 1),) * order))
         by_scale = recover_moments_scale(table, order, scale)
