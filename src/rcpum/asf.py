@@ -5,16 +5,27 @@ Every model carries a compiled ``FiniteBudgetKernel`` (G, Y, D, w, sigma):
 the good-sum matrix, the budget, the disturbance of each bundle in each
 scenario (-inf where a bundle is not considered), the scenario weights, and
 the positive Gumbel scale.  One vectorized kernel evaluates all of them,
-logit included, at a whole coefficient support at once:
+logit included, at a whole coefficient support at once.  The softmax weight
+exp((U_b + D_tb) / sigma) factors into a utility part and a disturbance part,
+each shifted by its own maximum:
 
-    U = ((x - c) * B) @ G @ Y'                  (support x budget)
-    P = softmax((U + D) / sigma)                (per scenario)
-    ybar = sum_t w_t P_t @ Y
+    U = ((x - c) * beta) @ G @ Y'               (support x budget)
+    E = exp((U - max_b U) / sigma)              (support x budget)
+    F = exp((D - max_b D) / sigma)              (scenarios x budget, compiled)
+    Z = E @ F'                                  (support x scenarios)
+    ybar = (E * ((w / Z) @ F)) @ Y
 
-so the ASF makes one kernel call per batch of covariate points
-(``asf_batch`` takes a whole stencil at once).  Nothing is sampled and
-nothing is cached: the derivative table's stencil plan already evaluates
-each distinct node once.
+so no (support, scenario, budget) array is built.  The separate shifts can
+underflow a row's dominant weight when the two maxima sit on different
+bundles far apart; every (point, support) row with some Z below
+``_FACTORED_FLOOR`` is recomputed with the joint shift,
+softmax((U + D) / sigma) per scenario.  The choice is made row by row, so a
+row's bits never depend on the batch it came in.
+
+The ASF makes one kernel call per batch of covariate points (``asf_batch``
+takes a whole stencil at once).  Nothing is sampled and nothing is cached:
+the derivative table's stencil plan already evaluates each distinct node
+once.
 """
 
 from __future__ import annotations
@@ -23,6 +34,17 @@ import numpy as np
 
 from .distributions import support_arrays
 from .exceptions import ConfigurationError
+
+
+# Z_t is the joint-shift normaliser, which lies in [1, B] for a budget of B
+# bundles, times the factor exp((max_b (U_b + D_tb) - max U - max D_t) /
+# sigma) <= 1.  At or above the floor the dominant term E_b F_tb is at least
+# 1e-250 / B, far above the smallest normal float (2.2e-308) for any real
+# budget, so E and F, both >= that term, carry it to full precision; the
+# subnormal or vanished terms beside it weigh at most about B * 2e-58 of it;
+# and w / Z stays below 1e250.  Below the floor, or NaN, the row takes the
+# joint shift.
+_FACTORED_FLOOR = 1e-250
 
 
 def ybar_given_beta(model, x, beta):
@@ -34,13 +56,35 @@ def ybar_given_beta(model, x, beta):
     K).
     """
     kernel = model.kernel
-    # the softmax in place: z is the largest array of the kernel
-    z = (model.indices(x, beta) @ kernel.Y.T)[..., None, :] + kernel.D
+    U = model.indices(x, beta) @ kernel.Y.T
+    E = U - U.max(axis=-1, keepdims=True)
+    E /= kernel.sigma
+    np.exp(E, out=E)
+    Z = E @ kernel.F.T
+    joint = None
+    if not Z.min(initial=np.inf) >= _FACTORED_FLOOR:  # some row is low or NaN
+        low = ~(Z >= _FACTORED_FLOOR).all(axis=-1)
+        joint = _joint_shift(kernel, U[low])
+        Z[low] = 1.0  # placeholder: those rows are overwritten below
+    del U  # the factored rows need only E and Z from here on
+    np.divide(kernel.w, Z, out=Z)
+    H = Z @ kernel.F
+    H *= E
+    ybar = H @ kernel.Y
+    if joint is not None:
+        ybar[low] = joint
+    return ybar
+
+
+def _joint_shift(kernel, U):
+    """Mean demand of each row of an (r, B) utility matrix, from the softmax
+    of U + D shifted by its joint maximum in every scenario."""
+    z = U[:, None, :] + kernel.D
     z -= z.max(axis=-1, keepdims=True)
     z /= kernel.sigma
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)  # choice probabilities per scenario
-    return np.einsum("t,...tb,bk->...k", kernel.w, z, kernel.Y)
+    return kernel.w @ (z @ kernel.Y)
 
 
 class AsfEvaluator:

@@ -117,6 +117,15 @@ def _number(value, where):
     return x
 
 
+def _array(value, where, length=None):
+    """A JSON array, with ``length`` entries when that is given."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{where} must be an array")
+    if length is not None and len(value) != length:
+        raise ConfigurationError(f"{where} must have {length} entries, got {len(value)}")
+    return value
+
+
 def _numbers(values, where):
     """A JSON array of numbers as a tuple of floats."""
     return tuple(_number(v, where) for v in values)
@@ -142,7 +151,7 @@ def _model_dims(block):
         required=("type", "dims"),
         optional=("center", "nonnegative_domain") + _MODEL_KEYS[kind],
     )
-    return tuple(_integer(d, "model.dims[]") for d in block["dims"])
+    return tuple(_integer(d, "model.dims[]") for d in _array(block["dims"], "model.dims"))
 
 
 def _build_model(block, dims):
@@ -161,7 +170,8 @@ def _build_model(block, dims):
             **common,
         )
     scens = []
-    pair = "model.scenarios[].complementarities[] goods"
+    triple = "model.scenarios[].complementarities[]"
+    pair = f"{triple} goods"
     quantity = "model bundle quantities"
     for s in block.get("scenarios", ()):
         _expect_keys(
@@ -170,19 +180,16 @@ def _build_model(block, dims):
             required=("weight", "intercepts"),
             optional=("complementarities", "consideration"),
         )
+        comps = []
+        for c in _array(s.get("complementarities", []), "model.scenarios[].complementarities"):
+            j, k, v = _array(c, triple, 3)
+            comps.append((_integer(j, pair), _integer(k, pair), _number(v, f"{triple} values")))
         consideration = s.get("consideration")
         scens.append(
             BundleScenario(
                 weight=_number(s["weight"], "model.scenarios[].weight"),
                 intercepts=_numbers(s["intercepts"], "model.scenarios[].intercepts[]"),
-                complementarities=tuple(
-                    (
-                        _integer(j, pair),
-                        _integer(k, pair),
-                        _number(v, "model.scenarios[].complementarities[] values"),
-                    )
-                    for j, k, v in s.get("complementarities", ())
-                ),
+                complementarities=tuple(comps),
                 consideration=None
                 if consideration is None
                 else frozenset(_numbers(y, quantity) for y in consideration),
@@ -211,7 +218,11 @@ def _build_beta(block, dims):
         raise ConfigurationError(f"unknown beta distribution type {kind!r}")
     _expect_keys(block, "beta", required=("type",) + _BETA_KEYS[kind])
     if kind == "discrete":
-        points = [_numbers(p, "beta.points[][]") for p in block["points"]]
+        n = sum(dims)
+        points = [
+            _numbers(_array(p, "beta.points[]", n), "beta.points[][]")
+            for p in _array(block["points"], "beta.points")
+        ]
         return DiscreteBeta(dims, points, _numbers(block["weights"], "beta.weights[]"))
     marginals = []
     for m in block["marginals"]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class FiniteBudgetKernel:
     -inf for bundles a scenario does not consider, and ``w`` the scenario
     weights.  In scenario t the choice puts probability softmax((u . Y_b +
     D_tb) / sigma) on bundle b, with ``sigma`` the positive Gumbel scale.
+    ``F`` = exp((D - max_b D) / sigma), each scenario's disturbance factor
+    of that softmax with largest entry 1, is compiled from them.
     """
 
     G: np.ndarray
@@ -44,12 +46,16 @@ class FiniteBudgetKernel:
     D: np.ndarray
     w: np.ndarray
     sigma: float
+    F: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("G", "Y", "D", "w"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        F = np.exp((self.D - self.D.max(axis=1, keepdims=True)) / self.sigma)
+        F.setflags(write=False)
+        object.__setattr__(self, "F", F)
 
     def value_partials(self, max_order):
         """Partials at u = 0 of V(u) = sum_t w_t sigma log sum_b exp((Y_b . u
@@ -59,9 +65,7 @@ class FiniteBudgetKernel:
         joint cumulant of the budget's components under scenario t's softmax.
         """
         gammas, exponents, steps = _cumulant_plan(self.Y.shape[1], max_order)
-        z = self.D / self.sigma
-        p = np.exp(z - z.max(axis=1, keepdims=True))
-        p /= p.sum(axis=1, keepdims=True)
+        p = self.F / self.F.sum(axis=1, keepdims=True)
         mu = p @ np.prod(self.Y[:, None, :] ** exponents, axis=-1)
         kappa = mu.copy()
         for cols, starts, coefs, lower, rest in steps:

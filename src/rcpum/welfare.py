@@ -31,8 +31,8 @@ class TaylorVModel:
     center); ``tables`` maps derivative order (>= 2) to a VDerivTable.  The
     additive constant is fixed by V(center) = 0.  Construction compiles the
     polynomial to an exponent matrix (one row of per-good powers per term)
-    and multinomial-weighted coefficients, then probes axis and diagonal
-    segments for numerical convexity.
+    and multinomial-weighted coefficients, and its gradient likewise, then
+    probes axis and diagonal segments for numerical convexity.
     """
 
     gradient: np.ndarray
@@ -60,9 +60,18 @@ class TaylorVModel:
                 terms.append((gamma, v))
         goods = range(1, self.n_goods + 1)
         exponents = np.array([[gamma.count(k) for k in goods] for gamma, _ in terms], dtype=int)
+        exponents = exponents.reshape(len(terms), self.n_goods)
         coefs = np.array([v * _inverse_count_factorial(gamma) for gamma, v in terms], dtype=float)
-        object.__setattr__(self, "_exponents", exponents.reshape(len(terms), self.n_goods))
+        object.__setattr__(self, "_exponents", exponents)
         object.__setattr__(self, "_coefs", coefs)
+        # the gradient's polynomial: d/du_k of each term with e_k > 0 is the
+        # monomial of exponents e - e_k with coefficient e_k times its own
+        terms_in, goods_in = np.nonzero(exponents)
+        object.__setattr__(self, "_slope_goods", goods_in)
+        object.__setattr__(
+            self, "_slope_exponents", exponents[terms_in] - np.eye(self.n_goods, dtype=int)[goods_in]
+        )
+        object.__setattr__(self, "_slope_coefs", coefs[terms_in] * exponents[terms_in, goods_in])
         self._check_convexity()
 
     @property
@@ -104,8 +113,7 @@ class TaylorVModel:
         U = np.asarray(U, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.n_goods:
             raise ConfigurationError(f"index vectors must have length {self.n_goods}")
-        monomials = np.prod(U[:, None, :] ** self._exponents, axis=-1)
-        return U @ self.gradient + monomials @ self._coefs
+        return U @ self.gradient + _monomials(U, self._exponents) @ self._coefs
 
     def value(self, u):
         """V(u) - V(center-index point), warning outside the trust radius."""
@@ -119,10 +127,21 @@ class TaylorVModel:
         """Gradient of the Taylor polynomial (mean demand at index u)."""
         u = np.asarray(u, dtype=float)
         _warn_outside(u[None], self.trust_radius)
-        # e_k u_k^(e_k - 1) per term and good; clipping keeps 0 * inf out at u_k = 0
-        lowered = np.maximum(self._exponents - np.eye(self.n_goods, dtype=int)[:, None, :], 0)
-        slopes = np.prod(u ** lowered, axis=-1) * self._exponents.T
-        return self.gradient + slopes @ self._coefs
+        slopes = _monomials(u[None], self._slope_exponents)[0] * self._slope_coefs
+        return self.gradient + np.bincount(self._slope_goods, slopes, minlength=self.n_goods)
+
+
+def _monomials(U, exponents):
+    """prod_k U[:, k] ** exponents[:, k] for every row of an (n, K) matrix
+    and every row of a (terms, K) exponent matrix, as (n, terms): gathered
+    from a table of the powers U^0 .. U^top built by repeated
+    multiplication, so U^0 is exactly 1."""
+    top = exponents.max(initial=0)
+    powers = np.empty(U.shape + (top + 1,))
+    powers[..., 0] = 1.0
+    for j in range(1, top + 1):
+        np.multiply(powers[..., j - 1], U, out=powers[..., j])
+    return powers[:, np.arange(U.shape[1]), exponents].prod(axis=-1)
 
 
 def _warn_outside(U, trust_radius):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,36 @@ from rcpum.distributions import flat_offsets
 from rcpum.logit import choice_probabilities
 
 DIMS = (1, 1)
+
+
+def joint_shift_ybar(model, x, beta):
+    """The kernel before factoring: per scenario, the softmax of U + D
+    shifted by its joint maximum, built as one (..., scenarios, budget)
+    array and contracted with the weights and the budget."""
+    kernel = model.kernel
+    z = (model.indices(x, beta) @ kernel.Y.T)[..., None, :] + kernel.D
+    z -= z.max(axis=-1, keepdims=True)
+    z /= kernel.sigma
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return np.einsum("t,...tb,bk->...k", kernel.w, z, kernel.Y)
+
+
+def factored_normaliser(model, x, beta):
+    """min_t Z_t of every (point, support) row, Z = E F' with E and F the
+    separately shifted utility and disturbance factors."""
+    kernel = model.kernel
+    U = model.indices(x, beta) @ kernel.Y.T
+    E = np.exp((U - U.max(axis=-1, keepdims=True)) / kernel.sigma)
+    return (E @ kernel.F.T).min(axis=-1)
+
+
+def underflow_bundle(dims=DIMS):
+    """Two goods with a complementarity of 8 at Gumbel scale 0.01: where the
+    utility and the disturbance favour different bundles, the separately
+    shifted factors of the dominant term underflow."""
+    scenarios = (BundleScenario(1.0, (0.0, 0.0), ((1, 2, 8.0),)),)
+    return BundleModel(dims=dims, scenarios=scenarios, smoothing=0.01)
 
 
 def test_symmetric_logit_at_center():
@@ -289,6 +320,92 @@ def test_bundle_disturbances_compiled_once(monkeypatch):
     assert len(calls) == compiled
 
 
+def test_underflowing_factors_fall_back_to_the_joint_shift():
+    model = underflow_bundle()
+    grid = np.array([-5.0, -4.0, -1.0, -0.02, 0.0, 0.5, 5.0])
+    X = np.array(list(itertools.product(grid, grid)))
+    support = np.array([[1.0, 1.0], [2.0, 0.5]])
+    floor = factored_normaliser(model, X, support)
+    assert floor[X.tolist().index([-5.0, -5.0]), 0] == 0.0
+    assert (floor < 1e-250).any() and (floor > 1e-250).any()
+    got = ybar_given_beta(model, X, support)
+    assert not np.isnan(got).any()
+    np.testing.assert_allclose(got, joint_shift_ybar(model, X, support), rtol=0, atol=1e-15)
+    # one point against one coefficient vector falls back too
+    x, beta = np.array([-5.0, -5.0]), np.ones(2)
+    single = ybar_given_beta(model, x, beta)
+    assert single.shape == (2,) and not np.isnan(single).any()
+    np.testing.assert_allclose(single, joint_shift_ybar(model, x, beta), rtol=0, atol=1e-15)
+
+
+small = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def small_kernel_models(draw):
+    """A smoothed bundle over {0,1}^K with consideration sets, or a logit,
+    with K <= 4, up to 6 scenarios and non-dyadic numbers."""
+    n_goods = draw(st.integers(1, 4))
+    dims = tuple(draw(st.lists(st.integers(1, 2), min_size=n_goods, max_size=n_goods)))
+    numbers = st.lists(small, min_size=n_goods, max_size=n_goods)
+    if draw(st.booleans()):
+        return LogitModel(dims=dims, alphas=tuple(draw(numbers)), outside_good=draw(st.booleans()))
+    lattice = list(itertools.product((0.0, 1.0), repeat=n_goods))
+    raw = np.array(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)), dtype=float)
+    weights = raw / raw.sum()
+    weights[-1] = 1.0 - weights[:-1].sum()
+    scenarios = tuple(
+        BundleScenario(
+            w,
+            tuple(draw(numbers)),
+            tuple((j, k, draw(small)) for j, k in itertools.combinations(range(1, n_goods + 1), 2)),
+            draw(st.none() | st.sets(st.sampled_from(lattice), min_size=1).map(frozenset)),
+        )
+        for w in weights
+    )
+    return BundleModel(dims=dims, scenarios=scenarios, smoothing=draw(st.floats(0.25, 2.0)))
+
+
+@given(small_kernel_models(), st.data())
+def test_factored_kernel_matches_joint_shift(model, data):
+    dim = model.total_dim
+    x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    support = np.array(
+        data.draw(st.lists(st.lists(small, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    )
+    X = np.vstack([x, model.center, 0.5 * x])
+    got = ybar_given_beta(model, X, support)
+    np.testing.assert_allclose(got, joint_shift_ybar(model, X, support), rtol=0, atol=1e-14)
+
+
+def test_asf_batch_memory_stays_below_the_four_dimensional_softmax():
+    # K 4 (budget 16) with 8 scenarios: the joint-shift kernel allocated one
+    # (nodes, S, T, B) float64 array per call
+    rng = np.random.default_rng(11)
+    scenarios = tuple(
+        BundleScenario(
+            0.125,
+            tuple(rng.uniform(-1, 1, 4)),
+            tuple((j, k, rng.uniform(-1, 1)) for j, k in itertools.combinations(range(1, 5), 2)),
+        )
+        for _ in range(8)
+    )
+    model = BundleModel(dims=(1, 1, 1, 1), scenarios=scenarios, smoothing=0.8)
+    S = 8
+    beta = DiscreteBeta(model.dims, rng.uniform(0.5, 1.5, (S, 4)), np.full(S, 1 / S))
+    evaluator = AsfEvaluator(model, beta)
+    X = model.center + rng.uniform(-0.2, 0.2, (2000, 4))
+    T, B = model.kernel.D.shape
+    assert (T, B) == (8, 16)
+    tracemalloc.start()
+    try:
+        evaluator.asf_batch(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * len(X) * S * T * B * 8
+
+
 def _batch_models():
     smoothed = BundleModel(
         dims=(1, 2),
@@ -305,29 +422,37 @@ def _batch_models():
         "logit_linear": LogitModel(dims=(2, 1), alphas=(0.1, -0.3), outside_good=True),
         "logit_power": power,
         "smoothed_bundle": smoothed,
+        "underflow_bundle": underflow_bundle(dims=(1, 2)),
     }
 
 
 @pytest.mark.parametrize("case", list(_batch_models()))
 def test_asf_batch_equals_stacked_asf_rows(case):
     model = _batch_models()[case]
-    support = [[1.0, 1.0, 0.5], [2.0, -1.0, 0.25], [0.5, 3.0, 1.0]]
-    beta = DiscreteBeta(model.dims, support, [0.5, 0.25, 0.25])
+    points = [[1.0, 1.0, 0.5], [2.0, -1.0, 0.25], [0.5, 3.0, 1.0]]
     rng = np.random.default_rng(3)
     X = model.center + rng.uniform(-0.2, 0.2, size=(9, model.total_dim))
-    X = np.vstack([X, X[2], model.center])  # a repeated row and the center
-    batched = AsfEvaluator(model, beta)
-    got = batched.asf_batch(X)
-    single = AsfEvaluator(model, beta)
-    want = np.array([single.asf(x) for x in X])
-    assert got.shape == (len(X), model.n_goods)
-    assert np.array_equal(got, want)
-    # every row, the repeated one too, went through one kernel call
-    assert (batched.points_evaluated, batched.kernel_calls) == (len(X), 1)
-    assert (single.points_evaluated, single.kernel_calls) == (len(X), len(X))
-    # a later batch evaluates all its rows again, to the same bits
-    extra = model.center + 0.05
-    again = batched.asf_batch(np.vstack([X[:3], extra]))
-    assert np.array_equal(again[:3], got[:3])
-    assert np.array_equal(again[3], single.asf(extra))
-    assert (batched.points_evaluated, batched.kernel_calls) == (len(X) + 4, 2)
+    # a repeated row, the center, and a far point where the underflow
+    # bundle's second support point alone takes the joint-shift fallback
+    X = np.vstack([X, X[2], model.center, model.center + [1.0, 9.0, 0.0]])
+    if case == "underflow_bundle":
+        fallback = factored_normaliser(model, X, np.array(points)) < 1e-250
+        assert fallback[-1].tolist() == [False, True, False]
+        assert not fallback[:-1].any()
+    for support, weights in ((points, [0.5, 0.25, 0.25]), (points[1:2], [1.0])):
+        beta = DiscreteBeta(model.dims, support, weights)
+        batched = AsfEvaluator(model, beta)
+        got = batched.asf_batch(X)
+        single = AsfEvaluator(model, beta)
+        want = np.array([single.asf(x) for x in X])
+        assert got.shape == (len(X), model.n_goods)
+        assert np.array_equal(got, want)
+        # every row, the repeated one too, went through one kernel call
+        assert (batched.points_evaluated, batched.kernel_calls) == (len(X), 1)
+        assert (single.points_evaluated, single.kernel_calls) == (len(X), len(X))
+        # a later batch evaluates all its rows again, to the same bits
+        extra = model.center + 0.05
+        again = batched.asf_batch(np.vstack([X[:3], extra]))
+        assert np.array_equal(again[:3], got[:3])
+        assert np.array_equal(again[3], single.asf(extra))
+        assert (batched.points_evaluated, batched.kernel_calls) == (len(X) + 4, 2)

@@ -426,6 +426,19 @@ def _set(path, value, *more, names=()):
             "logit_k2_mixture",
             _set(("recovery", "scales", "9"), 1.0, names=("recovery.scales", "'9'")),
         ),
+        ("logit_k2_mixture", _set(("model", "dims"), 2, names=("model.dims",))),
+        (
+            "logit_k2_mixture",
+            _set(("beta", "points"), [[1.0, 1.0], [1.0]], names=("beta.points[]", "got 1")),
+        ),
+        (
+            "bundle_k2_smoothed",
+            _set(
+                ("model", "scenarios", 0, "complementarities"),
+                [[1, 2]],
+                names=("model.scenarios[].complementarities[]", "got 2"),
+            ),
+        ),
     ],
     ids=[
         "scales_list",
@@ -487,6 +500,9 @@ def _set(path, value, *more, names=()):
         "v_derivs_conflicting_orderings",
         "scales_order_zero",
         "scales_order_nine",
+        "dims_number",
+        "beta_points_ragged",
+        "complementarity_pair_only",
     ],
 )
 def test_invalid_config_exits_one(tmp_path, capsys, name, edit):

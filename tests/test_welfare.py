@@ -417,6 +417,46 @@ def test_taylor_values_three_goods_fourth_order():
         assert v == pytest.approx(_reference_taylor_sum(vmodel, u), rel=1e-14, abs=1e-17)
 
 
+def _power_formula(vmodel, U):
+    """V(u) at every row of U and the gradient at each, with every monomial
+    taken by ``**``; the clipped exponents keep 0 * inf out at u_k = 0."""
+    goods = range(1, vmodel.n_goods + 1)
+    terms = [(g, v) for order in sorted(vmodel.tables) for g, v in vmodel.tables[order].items()]
+    exponents = np.array([[g.count(k) for k in goods] for g, _ in terms])
+    coefs = np.array([v / math.prod(math.factorial(g.count(k)) for k in set(g)) for g, v in terms])
+    values = U @ vmodel.gradient + np.prod(U[:, None, :] ** exponents, axis=-1) @ coefs
+    lowered = np.maximum(exponents - np.eye(vmodel.n_goods, dtype=int)[:, None, :], 0)
+    gradients = [
+        vmodel.gradient + (np.prod(u**lowered, axis=-1) * exponents.T) @ coefs for u in U
+    ]
+    return values, np.array(gradients)
+
+
+def test_taylor_power_table_matches_power_formula():
+    rng = np.random.default_rng(31)
+    goods = (1, 2, 3, 4)
+    # a dominant diagonal keeps the polynomial convex on the probes
+    tables = {
+        m: VDerivTable(
+            {
+                g: (0.3 if len(set(g)) == 1 else 0.02) * rng.uniform(0.5, 1.0)
+                for g in itertools.combinations_with_replacement(goods, m)
+            }
+        )
+        for m in (2, 3, 4)
+    }
+    vmodel = TaylorVModel(gradient=np.array([0.2, 0.3, 0.1, 0.25]), tables=tables)
+    U = rng.uniform(-0.5, 0.5, size=(30, 4))
+    U[::3, 1] = 0.0  # rows with a zero index
+    U[1, [0, 2]] = 0.0
+    U[2] = 0.0
+    values, gradients = _power_formula(vmodel, U)
+    np.testing.assert_allclose(vmodel.values(U), values, rtol=1e-14, atol=0)
+    got = np.array([vmodel.gradient_at(u) for u in U])
+    np.testing.assert_allclose(got, gradients, rtol=1e-14, atol=0)
+    assert np.array_equal(vmodel.gradient_at(U[2]), vmodel.gradient)
+
+
 def test_taylor_model_rejects_terms_outside_goods():
     for gamma in ((0, 1), (1, 3)):
         with pytest.raises(ConfigurationError, match="outside 1..2"):
