@@ -25,27 +25,22 @@ from .exceptions import (
     ConfigurationError,
     EvaluationError,
     ExtrapolationWarning,
-    PermutationConditionError,
     PreconditionError,
     RcpumError,
     RelevanceError,
     WeightingError,
 )
 from .models import BundleModel, BundleScenario, LogitModel
-from .numdiff import DerivativeTable, FdScheme, derivative_table, mixed_partial
+from .numdiff import DerivativeTable, FdScheme, derivative_table
 from .recovery import (
     ChainResult,
     MomentTable,
     VDerivTable,
     chain_ratios,
-    exponent_moment_ratio,
-    plugin_estimate,
-    ratio_of_moments,
     recover_moments_independence,
     recover_moments_scale,
     recover_moments_vknown,
     recover_v_derivatives,
-    same_good_ratios,
 )
 from .welfare import (
     TaylorVModel,

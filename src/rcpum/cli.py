@@ -126,9 +126,10 @@ def _array(value, where, length=None):
     return value
 
 
-def _numbers(values, where):
-    """A JSON array of numbers as a tuple of floats."""
-    return tuple(_number(v, where) for v in values)
+def _numbers(values, where, length=None):
+    """A JSON array of numbers, with ``length`` entries when that is given,
+    as a tuple of floats."""
+    return tuple(_number(v, f"{where}[]") for v in _array(values, where, length))
 
 
 _MODEL_KEYS = {
@@ -164,7 +165,7 @@ def _build_model(block, dims):
     )
     if block["type"] == "logit":
         return LogitModel(
-            alphas=_numbers(block.get("alphas", (0.0,) * len(dims)), "model.alphas[]"),
+            alphas=_numbers(block.get("alphas", (0.0,) * len(dims)), "model.alphas"),
             outside_good=_flag(block, "outside_good", "model"),
             index_form=block.get("index_form", "linear"),
             **common,
@@ -172,8 +173,8 @@ def _build_model(block, dims):
     scens = []
     triple = "model.scenarios[].complementarities[]"
     pair = f"{triple} goods"
-    quantity = "model bundle quantities"
-    for s in block.get("scenarios", ()):
+    consider = "model.scenarios[].consideration"
+    for s in _array(block.get("scenarios", ()), "model.scenarios"):
         _expect_keys(
             s,
             "model.scenarios[]",
@@ -185,21 +186,25 @@ def _build_model(block, dims):
             j, k, v = _array(c, triple, 3)
             comps.append((_integer(j, pair), _integer(k, pair), _number(v, f"{triple} values")))
         consideration = s.get("consideration")
+        if consideration is not None:
+            consideration = frozenset(
+                _numbers(y, f"{consider}[]") for y in _array(consideration, consider)
+            )
         scens.append(
             BundleScenario(
                 weight=_number(s["weight"], "model.scenarios[].weight"),
-                intercepts=_numbers(s["intercepts"], "model.scenarios[].intercepts[]"),
+                intercepts=_numbers(s["intercepts"], "model.scenarios[].intercepts"),
                 complementarities=tuple(comps),
-                consideration=None
-                if consideration is None
-                else frozenset(_numbers(y, quantity) for y in consideration),
+                consideration=consideration,
             )
         )
     lattice = block.get("lattice")
     smoothing = block.get("smoothing")
     return BundleModel(
         scenarios=tuple(scens),
-        lattice=None if lattice is None else tuple(_numbers(y, quantity) for y in lattice),
+        lattice=None
+        if lattice is None
+        else tuple(_numbers(y, "model.lattice[]") for y in _array(lattice, "model.lattice")),
         smoothing=None if smoothing is None else _number(smoothing, "model.smoothing"),
         **common,
     )
@@ -219,18 +224,15 @@ def _build_beta(block, dims):
     _expect_keys(block, "beta", required=("type",) + _BETA_KEYS[kind])
     if kind == "discrete":
         n = sum(dims)
-        points = [
-            _numbers(_array(p, "beta.points[]", n), "beta.points[][]")
-            for p in _array(block["points"], "beta.points")
-        ]
-        return DiscreteBeta(dims, points, _numbers(block["weights"], "beta.weights[]"))
+        points = [_numbers(p, "beta.points[]", n) for p in _array(block["points"], "beta.points")]
+        return DiscreteBeta(dims, points, _numbers(block["weights"], "beta.weights"))
     marginals = []
-    for m in block["marginals"]:
+    for m in _array(block["marginals"], "beta.marginals"):
         _expect_keys(m, "beta.marginals[]", required=("values", "weights"))
         marginals.append(
             UnivariateAtoms(
-                _numbers(m["values"], "beta.marginals[].values[]"),
-                _numbers(m["weights"], "beta.marginals[].weights[]"),
+                _numbers(m["values"], "beta.marginals[].values"),
+                _numbers(m["weights"], "beta.marginals[].weights"),
             )
         )
     return ProductBeta(dims, tuple(marginals))
@@ -278,13 +280,7 @@ def _keyed_numbers(rec, key, what, upper, lengths):
 
 
 def _covariates(value, n, where):
-    try:
-        x = np.array(_numbers(value, where))
-    except TypeError:
-        x = None
-    if x is None or x.shape != (n,):
-        raise ConfigurationError(f"{where} must be a numeric vector of length {n}")
-    return x
+    return np.array(_numbers(value, where, n))
 
 
 def _parse_welfare(block, n):
@@ -293,10 +289,9 @@ def _parse_welfare(block, n):
         block, "welfare", optional=("points", "weighting", "trust_radius", "path_segments")
     )
     segments = []
-    for seg in block.get("path_segments", []):
-        if not isinstance(seg, (list, tuple)) or len(seg) != 2:
-            raise ConfigurationError("welfare.path_segments[] must be a pair of vectors")
-        segments.append(tuple(_covariates(x, n, "welfare.path_segments[][]") for x in seg))
+    for seg in _array(block.get("path_segments", []), "welfare.path_segments"):
+        pair = _array(seg, "welfare.path_segments[]", 2)
+        segments.append(tuple(_covariates(x, n, "welfare.path_segments[][]") for x in pair))
     weighting = block.get("weighting", "unweighted")
     if weighting not in WEIGHTINGS:
         raise ConfigurationError(f"welfare.weighting must be one of {list(WEIGHTINGS)}")
@@ -306,7 +301,10 @@ def _parse_welfare(block, n):
         if radius <= 0:
             raise ConfigurationError("welfare.trust_radius must be positive")
     return {
-        "points": [_covariates(x, n, "welfare.points[]") for x in block.get("points", [])],
+        "points": [
+            _covariates(x, n, "welfare.points[]")
+            for x in _array(block.get("points", []), "welfare.points")
+        ],
         "weighting": weighting,
         "trust_radius": radius,
         "path_segments": segments,
@@ -485,18 +483,22 @@ def run(config_path, out_dir, max_order=None, scheme=None, route=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    if max_order is not None:
-        raw.setdefault("recovery", {})["max_order"] = int(max_order)
-    if scheme is not None:
-        raw.setdefault("fd", {})["kind"] = scheme
-    if route is not None:
-        raw.setdefault("recovery", {})["route"] = route
-
     try:
+        if max_order is not None:
+            _override(raw, "recovery", "max_order", int(max_order))
+        if scheme is not None:
+            _override(raw, "fd", "kind", scheme)
+        if route is not None:
+            _override(raw, "recovery", "route", route)
         config = parse_config(raw)
     except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _output_error(exc, out)
     clock.lap("parse")
 
     evaluator = config.evaluator
@@ -548,20 +550,42 @@ def run(config_path, out_dir, max_order=None, scheme=None, route=None):
         )
     clock.lap("diagnostics")
 
-    out = Path(out_dir)
-    _write_reports(out, config, asf_center, moment_tables, v_table, welfare_out, report, failure)
-    clock.lap("reports")
-    meta = {
-        "started_unix": started,
-        "elapsed_seconds": time.time() - started,
-        "stage_seconds": clock.seconds,
-        "asf_points": evaluator.points_evaluated,
-        "asf_batches": evaluator.kernel_calls,
-        "stencil_nodes": 0 if table is None else table.stencil_nodes,
-        "table_classes": 0 if table is None else len(table.entries) // len(table.dims),
-    }
-    (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        _write_reports(out, config, asf_center, moment_tables, v_table, welfare_out, report, failure)
+        clock.lap("reports")
+        meta = {
+            "started_unix": started,
+            "elapsed_seconds": time.time() - started,
+            "stage_seconds": clock.seconds,
+            "asf_points": evaluator.points_evaluated,
+            "asf_batches": evaluator.kernel_calls,
+            "stencil_nodes": 0 if table is None else table.stencil_nodes,
+            "table_classes": 0 if table is None else len(table.entries) // len(table.dims),
+        }
+        (out / "run_meta.json").write_text(
+            json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    except OSError as exc:
+        return _output_error(exc, out)
     return 2 if failure is not None else 0
+
+
+def _override(raw, block, key, value):
+    """Set ``raw[block][key]`` for a command-line flag, once the config and
+    the block are known to be objects; an absent or null block becomes one."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError("config must be an object")
+    if raw.get(block) is None:
+        raw[block] = {}
+    if not isinstance(raw[block], dict):
+        raise ConfigurationError(f"{block} must be an object")
+    raw[block][key] = value
+
+
+def _output_error(exc, out):
+    """Report an output file that could not be made or written; exit code 1."""
+    print(f"output error: {exc.filename or out}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
 
 
 def _run_welfare(config, evaluator, asf_center, v_table):
@@ -615,8 +639,8 @@ def _moment_rows(config, moment_tables):
 
 def _write_reports(out, config, asf_center, moment_tables, v_table, welfare_out, report, failure):
     """Write moments.csv (when an order was recovered), v_derivs.csv (when
-    the value-function partials were), and summary.json."""
-    out.mkdir(parents=True, exist_ok=True)
+    the value-function partials were), and summary.json into the existing
+    directory ``out``."""
     moment_rows = _moment_rows(config, moment_tables)
     if moment_rows:
         lines = []

@@ -17,10 +17,6 @@ class EvaluationError(RcpumError):
         self.point = point
 
 
-class PermutationConditionError(RcpumError):
-    """Two derivative entries do not share the same good-index multiset."""
-
-
 class RelevanceError(RcpumError):
     """No derivative entry above the relevance threshold for a good tuple."""
 

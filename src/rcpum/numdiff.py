@@ -143,11 +143,6 @@ def _variable_powers(dims, pairs):
     return dict(sorted(powers.items()))
 
 
-def _require_scheme_fits_domain(evaluator, scheme):
-    if evaluator.model.nonnegative_domain and scheme.kind != "forward":
-        raise ConfigurationError("nonnegative-orthant models require the forward scheme")
-
-
 def richardson(values, base_order, stride):
     """Extrapolate estimates at steps h, h/2, ..., h/2^L to higher order.
 
@@ -254,30 +249,13 @@ def table_plan(dims, max_order, scheme):
     return StencilPlan.build(dims, classes, scheme)
 
 
-def mixed_partial(evaluator, good, pairs, scheme=None):
-    """FD estimate of one mixed partial of mean demand at the center.
-
-    ``good`` is the demand component (1-based); ``pairs`` lists the
-    differentiation variables as (good, characteristic) pairs.
-    """
-    scheme = scheme or FdScheme()
-    pairs = tuple(sorted(tuple(p) for p in pairs))
-    if not pairs:
-        raise ConfigurationError("at least one differentiation variable required")
-    dims = evaluator.model.dims
-    if not 1 <= good <= len(dims):
-        raise ConfigurationError(f"good index {good} outside 1..{len(dims)}")
-    _require_scheme_fits_domain(evaluator, scheme)
-    plan = StencilPlan.build(dims, (pairs,), scheme)
-    return plan.estimates(evaluator)[0, good - 1]
-
-
 _moment_index = functools.cache(MomentIndex)  # one shared index per table key
 
 
 @dataclass(frozen=True)
 class DerivativeTable:
-    """All mixed-partial estimates at the center up to ``max_order``.
+    """Mixed-partial estimates at the center, or externally supplied
+    estimates when ``center`` is None.
 
     Mixed partials are symmetric, so each derivative is stored once, keyed
     by (component good, sorted tuple of (good, characteristic) pairs).
@@ -286,9 +264,7 @@ class DerivativeTable:
     """
 
     dims: tuple[int, ...]
-    max_order: int
-    center: tuple[float, ...]
-    scheme: FdScheme
+    center: tuple[float, ...] | None
     entries: dict
     stencil_nodes: int
 
@@ -320,15 +296,14 @@ def derivative_table(evaluator, max_order, scheme=None):
     scheme = scheme or FdScheme()
     if not 1 <= max_order <= MAX_ORDER:
         raise ConfigurationError(f"max_order must be between 1 and {MAX_ORDER}")
-    _require_scheme_fits_domain(evaluator, scheme)
+    if evaluator.model.nonnegative_domain and scheme.kind != "forward":
+        raise ConfigurationError("nonnegative-orthant models require the forward scheme")
     dims = evaluator.model.dims
     plan = table_plan(dims, max_order, scheme)
     estimates = plan.estimates(evaluator)
     return DerivativeTable(
         dims=dims,
-        max_order=max_order,
         center=tuple(float(v) for v in evaluator.center),
-        scheme=scheme,
         entries=dict(zip(plan.keys, estimates.ravel().tolist())),
         stencil_nodes=plan.requested,
     )

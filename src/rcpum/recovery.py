@@ -11,6 +11,12 @@ time starting from the all-ones tuple, then fanned out across characteristic
 tuples within each good tuple.  A scale value pins the units: either a known
 moment of the first coefficient, its known absolute mean plus independence,
 or a supplied table of value-function derivatives.
+
+``chain_ratios`` reads any ``DerivativeTable``: a plug-in estimate from
+externally supplied derivative estimates is the chain over a table built
+from those entries.  On a power-index logit centered at the all-ones point
+the exponent drops out of the first derivatives, so the order-1 chain
+gives the mean-exponent ratios.
 """
 
 from __future__ import annotations
@@ -23,14 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import MomentIndex
-from .exceptions import (
-    AnchorError,
-    ConfigurationError,
-    PermutationConditionError,
-    PreconditionError,
-    RelevanceError,
-)
-from .numdiff import DerivativeTable, FdScheme, mixed_partial
+from .exceptions import AnchorError, ConfigurationError, PreconditionError, RelevanceError
 
 DEFAULT_TAU_REL = 1e-7
 
@@ -104,29 +103,6 @@ def moment_indices_for(dims, good_tuple):
 @functools.cache
 def good_multisets(n_goods, order):
     return tuple(itertools.combinations_with_replacement(range(1, n_goods + 1), order))
-
-
-def _check_permutation_condition(num, den):
-    (k, num_idx), (j, den_idx) = num, den
-    if tuple(sorted(num_idx.goods + (k,))) != tuple(sorted(den_idx.goods + (j,))):
-        raise PermutationConditionError(
-            f"good multisets differ: {num_idx.goods}+{k} vs {den_idx.goods}+{j}"
-        )
-
-
-def ratio_of_moments(table, num, den, tau_rel=DEFAULT_TAU_REL):
-    """Ratio of two moments read off two admissible derivative entries.
-
-    ``num`` and ``den`` are (component good, MomentIndex) pairs whose
-    combined good multisets must coincide.
-    """
-    _check_permutation_condition(num, den)
-    den_val = table.value(den[0], den[1].pairs)
-    if abs(den_val) <= tau_rel:
-        raise RelevanceError(
-            f"denominator entry {den} has magnitude {abs(den_val):.3e} <= {tau_rel}"
-        )
-    return table.value(num[0], num[1].pairs) / den_val
 
 
 @dataclass(frozen=True)
@@ -323,68 +299,3 @@ def recover_moments_vknown(table, v_derivs, order, tau_rel=DEFAULT_TAU_REL):
     entries = {idx: math.fsum(vals) / len(vals) for idx, vals in groups.items()}
     return MomentTable(order=order, entries=entries, route="vknown")
 
-
-def same_good_ratios(table, component, good_tuple, xi, xi_tilde, tau_rel=DEFAULT_TAU_REL):
-    """Moment ratio from two entries sharing good tuple and component.
-
-    Keeping the good indices fixed means the value-function factor cancels
-    without invoking symmetry of mixed partials.
-    """
-    good_tuple = tuple(good_tuple)
-    num_idx = MomentIndex(tuple(zip(good_tuple, xi)))
-    den_idx = MomentIndex(tuple(zip(good_tuple, xi_tilde)))
-    den = table.value(component, den_idx.pairs)
-    if abs(den) <= tau_rel:
-        raise RelevanceError(
-            f"denominator entry {den_idx} has magnitude {abs(den):.3e} <= {tau_rel}"
-        )
-    return table.value(component, num_idx.pairs) / den
-
-
-def exponent_moment_ratio(evaluator, j, k, scheme=None, tau_rel=DEFAULT_TAU_REL):
-    """Ratio of mean exponents E[rho_j] / E[rho_k] for power-index models.
-
-    First derivatives are taken at the all-ones covariate point, where the
-    exponent drops out of the inner derivative.
-    """
-    model = evaluator.model
-    if getattr(model, "index_form", None) != "power":
-        raise PreconditionError("exponent ratios need a power-index model")
-    scheme = scheme or FdScheme()
-    num = mixed_partial(evaluator, k, ((j, 1),), scheme)
-    den = mixed_partial(evaluator, j, ((k, 1),), scheme)
-    if abs(den) <= tau_rel:
-        raise RelevanceError(f"denominator derivative is {den:.3e}, below {tau_rel}")
-    return num / den
-
-
-def _as_index(idx):
-    return idx if isinstance(idx, MomentIndex) else MomentIndex(tuple(idx))
-
-
-def plugin_estimate(dims, estimates, target, reference, tau_rel=DEFAULT_TAU_REL):
-    """Plug-in moment estimator from externally supplied derivative
-    estimates, with the reference moment normalized to one.
-
-    Chains ratios exactly as the population construction does, so exact
-    derivatives reproduce exact moments and estimation error enters only
-    through the supplied ratios.  The estimates, keyed by (component good,
-    moment index), fill a ``DerivativeTable`` with no center, scheme or
-    stencil.
-    """
-    target, reference = _as_index(target), _as_index(reference)
-    if target.order != reference.order:
-        raise ConfigurationError("target and reference moments must have the same order")
-    table = DerivativeTable(
-        dims=tuple(dims),
-        max_order=target.order,
-        center=None,
-        scheme=None,
-        entries={(k, _as_index(idx).pairs): float(v) for (k, idx), v in estimates.items()},
-        stencil_nodes=0,
-    )
-    chain = chain_ratios(table, target.order, tau_rel)
-    ref = chain.ratios[reference]
-    if abs(ref) <= tau_rel:
-        raise RelevanceError(f"reference moment {reference} is numerically irrelevant")
-    return chain.ratios[target] / ref

@@ -439,6 +439,49 @@ def _set(path, value, *more, names=()):
                 names=("model.scenarios[].complementarities[]", "got 2"),
             ),
         ),
+        ("logit_k2_mixture", _set(("model", "alphas"), 3, names=("model.alphas",))),
+        ("bundle_k2_smoothed", _set(("model", "lattice"), 3, names=("model.lattice",))),
+        ("bundle_k2_smoothed", _set(("model", "lattice"), [3], names=("model.lattice[]",))),
+        ("bundle_k2_smoothed", _set(("model", "scenarios"), 3, names=("model.scenarios",))),
+        (
+            "bundle_k2_smoothed",
+            _set(
+                ("model", "scenarios", 0, "intercepts"),
+                3,
+                names=("model.scenarios[].intercepts",),
+            ),
+        ),
+        (
+            "bundle_k2_smoothed",
+            _set(
+                ("model", "scenarios", 5, "consideration"),
+                3,
+                names=("model.scenarios[].consideration",),
+            ),
+        ),
+        (
+            "bundle_k2_smoothed",
+            _set(
+                ("model", "scenarios", 5, "consideration"),
+                [3],
+                names=("model.scenarios[].consideration[]",),
+            ),
+        ),
+        ("logit_k2_mixture", _set(("beta", "weights"), 3, names=("beta.weights",))),
+        ("independence_k2", _set(("beta", "marginals"), 3, names=("beta.marginals",))),
+        (
+            "independence_k2",
+            _set(("beta", "marginals", 0, "values"), 3, names=("beta.marginals[].values",)),
+        ),
+        (
+            "independence_k2",
+            _set(("beta", "marginals", 1, "weights"), 3, names=("beta.marginals[].weights",)),
+        ),
+        ("logit_k2_mixture", _set(("welfare", "points"), 3, names=("welfare.points",))),
+        (
+            "logit_k2_mixture",
+            _set(("welfare", "path_segments"), 3, names=("welfare.path_segments",)),
+        ),
     ],
     ids=[
         "scales_list",
@@ -503,6 +546,19 @@ def _set(path, value, *more, names=()):
         "dims_number",
         "beta_points_ragged",
         "complementarity_pair_only",
+        "alphas_number",
+        "lattice_number",
+        "lattice_entry_number",
+        "scenarios_number",
+        "intercepts_number",
+        "consideration_number",
+        "consideration_entry_number",
+        "beta_weights_number",
+        "marginals_number",
+        "marginal_values_number",
+        "marginal_weights_number",
+        "welfare_points_number",
+        "path_segments_number",
     ],
 )
 def test_invalid_config_exits_one(tmp_path, capsys, name, edit):
@@ -517,6 +573,64 @@ def test_invalid_config_exits_one(tmp_path, capsys, name, edit):
     for word in edit.names:
         assert word in err
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "block, flag",
+    [
+        (None, ("--max-order", "2")),
+        ("recovery", ("--max-order", "2")),
+        ("recovery", ("--route", "scale")),
+        ("fd", ("--scheme", "forward")),
+    ],
+)
+def test_override_into_a_non_object_exits_one(tmp_path, capsys, block, flag):
+    # a command-line override writes into its block only once the block is
+    # known to be an object; ``None`` replaces the whole config by an array
+    raw = [] if block is None else {**json.loads(bundled("logit_k2_mixture").read_text()), block: 5}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *flag]) == 1
+    assert capsys.readouterr().err == f"config error: {block or 'config'} must be an object\n"
+
+
+@pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file", "report_is_a_directory"])
+def test_unusable_out_exits_one(tmp_path, capsys, case):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out, named = {
+        "out_is_a_file": (blocker, blocker),
+        "out_under_a_file": (blocker / "out", blocker / "out"),
+        "report_is_a_directory": (tmp_path / "out", tmp_path / "out" / "moments.csv"),
+    }[case]
+    if case == "report_is_a_directory":
+        named.mkdir(parents=True)
+    assert main(["run", "--config", "logit_k2_homogeneous", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert str(named) in err
+
+
+def test_power_index_scale_route_run(tmp_path):
+    # at the all-ones center the order-1 chain reads mean-exponent ratios
+    raw = {
+        "model": {
+            "type": "logit",
+            "dims": [1, 1],
+            "center": [1.0, 1.0],
+            "alphas": [0.3, -0.2],
+            "outside_good": True,
+            "index_form": "power",
+        },
+        "beta": {"type": "discrete", "points": [[1.0, 2.0], [1.5, 0.5]], "weights": [0.5, 0.5]},
+        "recovery": {"route": "scale", "max_order": 1, "scales": {"1": 1.25}},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["failure"] is None
+    assert summary["results"]["moments"]["1"]["entries"]["b2.1"] == pytest.approx(1.25, abs=1e-6)
 
 
 def test_wrong_sign_scale_failing_convexity_exits_two(tmp_path):

@@ -14,7 +14,6 @@ from rcpum import (
     LogitModel,
     MomentIndex,
     derivative_table,
-    mixed_partial,
 )
 from rcpum import logit
 from rcpum.numdiff import fd_weights, richardson, stencil, table_plan
@@ -26,6 +25,12 @@ def point_mass_evaluator(alphas=(0.0, 0.0), beta=(1.0, 1.0), outside=False):
     model = LogitModel(dims=DIMS, alphas=alphas, outside_good=outside)
     dist = DiscreteBeta(DIMS, [list(beta)], [1.0])
     return AsfEvaluator(model, dist)
+
+
+def _entry(evaluator, good, pairs, scheme):
+    """Good ``good``'s estimate of the mixed partial over ``pairs``, read
+    from a table of that order."""
+    return derivative_table(evaluator, len(pairs), scheme).value(good, pairs)
 
 
 def test_fd_weights_standard_stencils():
@@ -51,20 +56,20 @@ def test_richardson_eliminates_leading_error():
 
 def test_softmax_jacobian_own_derivative():
     ev = point_mass_evaluator()
-    got = mixed_partial(ev, 1, ((1, 1),), FdScheme())
+    got = _entry(ev, 1, ((1, 1),), FdScheme())
     assert got == pytest.approx(0.25, abs=1e-9)
 
 
 def test_softmax_jacobian_cross_derivative():
     ev = point_mass_evaluator()
-    got = mixed_partial(ev, 2, ((1, 1),), FdScheme())
+    got = _entry(ev, 2, ((1, 1),), FdScheme())
     assert got == pytest.approx(-0.25, abs=1e-9)
 
 
 def test_flat_asf_all_zero():
     ev = point_mass_evaluator(beta=(0.0, 0.0))
     for pairs in (((1, 1),), ((1, 1), (2, 1)), ((2, 1), (2, 1))):
-        assert mixed_partial(ev, 1, pairs, FdScheme()) == pytest.approx(0.0, abs=1e-12)
+        assert _entry(ev, 1, pairs, FdScheme()) == pytest.approx(0.0, abs=1e-12)
 
 
 def analytic_entry(alphas, outside, beta_dist, k, idx):
@@ -106,7 +111,7 @@ def test_repeated_variable_third_derivative():
     # the third own-derivative of demand reads the fourth value-function
     # derivative: 2/9 * (1/9 - 4/9) = -2/27 at the symmetric outside-good point
     ev = point_mass_evaluator(outside=True)
-    got = mixed_partial(ev, 1, ((1, 1), (1, 1), (1, 1)), FdScheme())
+    got = _entry(ev, 1, ((1, 1), (1, 1), (1, 1)), FdScheme())
     assert got == pytest.approx(-2 / 27, abs=1e-6)
 
 
@@ -117,7 +122,7 @@ def test_convergence_under_step_halving(logit_mixture):
     errors = []
     for h in (0.2, 0.1, 0.05):
         scheme = FdScheme(kind="central", base_step=h, richardson_levels=1)
-        errors.append(abs(mixed_partial(ev, 2, ((1, 1), (1, 1)), scheme) - truth))
+        errors.append(abs(_entry(ev, 2, ((1, 1), (1, 1)), scheme) - truth))
     assert errors[0] > errors[1] > errors[2]
 
 
@@ -127,8 +132,8 @@ def test_forward_matches_central_on_logit(logit_mixture):
     model, beta = logit_mixture
     ev = AsfEvaluator(model, beta)
     for k, pairs in ((1, ((1, 1),)), (2, ((1, 1), (2, 1)))):
-        central = mixed_partial(ev, k, pairs, FdScheme(kind="central"))
-        forward = mixed_partial(ev, k, pairs, FdScheme(kind="forward"))
+        central = _entry(ev, k, pairs, FdScheme(kind="central"))
+        forward = _entry(ev, k, pairs, FdScheme(kind="forward"))
         truth = analytic_entry(model.alphas, True, beta, k, MomentIndex(pairs))
         assert abs(forward - central) <= 10 * 1e-4 * abs(truth)
         assert abs(forward - truth) <= 10 * 1e-4 * abs(truth)
@@ -145,7 +150,7 @@ def test_forward_scheme_keeps_nodes_nonnegative():
             return super().asf_batch(X)
 
     ev = Spy(model, beta)
-    mixed_partial(ev, 1, ((1, 1), (2, 1)), FdScheme(kind="forward"))
+    _entry(ev, 1, ((1, 1), (2, 1)), FdScheme(kind="forward"))
     assert seen and all(np.all(X >= 0.0) for X in seen)
 
 
@@ -153,7 +158,7 @@ def test_central_rejected_on_nonnegative_domain():
     model = LogitModel(dims=DIMS, alphas=(0.0, 0.0), nonnegative_domain=True)
     ev = AsfEvaluator(model, DiscreteBeta(DIMS, [[1.0, 1.0]], [1.0]))
     with pytest.raises(ConfigurationError):
-        mixed_partial(ev, 1, ((1, 1),), FdScheme(kind="central"))
+        _entry(ev, 1, ((1, 1),), FdScheme(kind="central"))
 
 
 class _NanEvaluator:
@@ -169,7 +174,7 @@ class _NanEvaluator:
 
 def test_nonfinite_node_reported():
     with pytest.raises(EvaluationError) as err:
-        mixed_partial(_NanEvaluator(), 1, ((1, 1),), FdScheme())
+        _entry(_NanEvaluator(), 1, ((1, 1),), FdScheme())
     assert err.value.point is not None
 
 
@@ -217,7 +222,7 @@ class _SmoothField:
 def test_mixed_partial_against_closed_form_field(orders, kind):
     field = _SmoothField()
     pairs = ((1, 1),) * orders[0] + ((2, 1),) * orders[1]
-    got = mixed_partial(field, 1, pairs, FdScheme(kind=kind))
+    got = _entry(field, 1, pairs, FdScheme(kind=kind))
     tol = 1e-6 if kind == "central" else 2e-4
     assert got == pytest.approx(field.exact(orders), rel=tol, abs=tol)
 

@@ -4,10 +4,10 @@ import pytest
 from rcpum import (
     AsfEvaluator,
     ConfigurationError,
+    DerivativeTable,
     DiscreteBeta,
     LogitModel,
     MomentIndex,
-    PermutationConditionError,
     PreconditionError,
     ProductBeta,
     RelevanceError,
@@ -15,14 +15,10 @@ from rcpum import (
     VDerivTable,
     chain_ratios,
     derivative_table,
-    exponent_moment_ratio,
-    plugin_estimate,
-    ratio_of_moments,
     recover_moments_independence,
     recover_moments_scale,
     recover_moments_vknown,
     recover_v_derivatives,
-    same_good_ratios,
 )
 from rcpum import logit
 
@@ -39,41 +35,23 @@ def _independence(table, max_order, abs_mean):
 
 
 def test_ratio_of_moments_eq3_pair(logit_mixture_table):
+    # entries whose combined good multisets agree share the value-function
+    # factor, so their ratio is E[b2^2] / E[b1 b2] = 5/2
     _, table = logit_mixture_table
-    got = ratio_of_moments(
-        table,
-        (1, MomentIndex.of((2, 1), (2, 1))),
-        (2, MomentIndex.of((1, 1), (2, 1))),
-    )
+    got = table.value(1, ((2, 1), (2, 1))) / table.value(2, ((1, 1), (2, 1)))
     assert got == pytest.approx(5 / 2, rel=1e-6)
     # the companion pair: E[b1^2] / E[b1 b2] = 1/2 for the same mixture
-    got = ratio_of_moments(
-        table,
-        (2, MomentIndex.of((1, 1), (1, 1))),
-        (1, MomentIndex.of((1, 1), (2, 1))),
-    )
+    got = table.value(2, ((1, 1), (1, 1))) / table.value(1, ((1, 1), (2, 1)))
     assert got == pytest.approx(1 / 2, rel=1e-6)
-
-
-def test_ratio_of_moments_permutation_condition(logit_mixture_table):
-    _, table = logit_mixture_table
-    with pytest.raises(PermutationConditionError):
-        ratio_of_moments(
-            table,
-            (1, MomentIndex.of((1, 1), (1, 1))),
-            (1, MomentIndex.of((2, 1), (2, 1))),
-        )
 
 
 def test_ratio_of_moments_point_mass_is_one():
     model = LogitModel(dims=DIMS, alphas=(0.0, 0.0), outside_good=True)
     beta = DiscreteBeta(DIMS, [[1.0, 1.0]], [1.0])
     table = derivative_table(AsfEvaluator(model, beta), 2)
-    for num, den in (
-        ((1, MomentIndex.of((2, 1), (2, 1))), (2, MomentIndex.of((1, 1), (2, 1)))),
-        ((2, MomentIndex.of((1, 1), (1, 1))), (1, MomentIndex.of((1, 1), (2, 1)))),
-    ):
-        assert ratio_of_moments(table, num, den) == pytest.approx(1.0, rel=1e-6)
+    for order in (1, 2):
+        for ratio in chain_ratios(table, order).ratios.values():
+            assert ratio == pytest.approx(1.0, rel=1e-6)
 
 
 def test_chain_ratios_second_order(logit_mixture_table):
@@ -127,9 +105,8 @@ def test_chain_path_independence_three_goods():
     idx = {g: MomentIndex.of(*[(gg, 1) for gg in g]) for g in [(1, 1), (1, 2), (1, 3), (2, 3)]}
 
     def step(target_goods, num_k, src_goods, den_k):
-        return ratio_of_moments(
-            table, (num_k, idx[target_goods]), (den_k, idx[src_goods])
-        )
+        num = table.value(num_k, idx[target_goods].pairs)
+        return num / table.value(den_k, idx[src_goods].pairs)
 
     # (1,1) -> (1,2) -> (2,3) and (1,1) -> (1,3) -> (2,3)
     via_2 = step((1, 2), 1, (1, 1), 2) * step((2, 3), 1, (1, 2), 3)
@@ -289,38 +266,31 @@ def test_same_good_ratios_multiple_characteristics():
     model = LogitModel(dims=dims, alphas=(0.0, 0.0), outside_good=True)
     beta = DiscreteBeta(dims, [[1.0, 0.5, 1.0], [1.0, 2.0, 3.0]], [0.5, 0.5])
     table = derivative_table(AsfEvaluator(model, beta), 2)
-    got = same_good_ratios(table, 1, (1, 2), (1, 1), (2, 1))
-    want = beta.moment(MomentIndex.of((1, 1), (2, 1))) / beta.moment(MomentIndex.of((1, 2), (2, 1)))
-    assert got == pytest.approx(want, rel=1e-5)
-    # identical characteristic tuples give exactly one
-    assert same_good_ratios(table, 1, (1, 2), (1, 1), (1, 1)) == 1.0
-    # consistency with the chained route
+    num, den = MomentIndex.of((1, 1), (2, 1)), MomentIndex.of((1, 2), (2, 1))
     chain = chain_ratios(table, 2)
-    chained = (
-        chain.ratios[MomentIndex.of((1, 1), (2, 1))]
-        / chain.ratios[MomentIndex.of((1, 2), (2, 1))]
-    )
-    assert got == pytest.approx(chained, rel=1e-8)
+    got = chain.ratios[num] / chain.ratios[den]
+    assert got == pytest.approx(beta.moment(num) / beta.moment(den), rel=1e-5)
+    # both indices share good tuple (1, 2), so the value-function factor
+    # cancels from one component's entries without symmetry of partials
+    same_good = table.value(1, num.pairs) / table.value(1, den.pairs)
+    assert got == pytest.approx(same_good, rel=1e-8)
 
 
 def test_same_good_ratio_relevance_guard(logit_mixture_table):
     _, table = logit_mixture_table
     with pytest.raises(RelevanceError):
-        same_good_ratios(table, 1, (1, 2), (1, 1), (1, 1), tau_rel=1e9)
+        chain_ratios(table, 2, tau_rel=1e9)
 
 
 @pytest.mark.parametrize("rho,expected", [((1.0, 2.0), 0.5), ((2.0, 1.0), 2.0), ((1.5, 1.5), 1.0)])
 def test_exponent_moment_ratio(rho, expected):
+    # at the all-ones point the exponent drops out of the inner derivative,
+    # so the order-1 chain reads E[rho_1] / E[rho_2]
     model = LogitModel(dims=DIMS, alphas=(0.0, 0.0), index_form="power", center=np.ones(2))
     dist = DiscreteBeta(DIMS, [list(rho)], [1.0])
-    got = exponent_moment_ratio(AsfEvaluator(model, dist), 1, 2)
+    ratios = chain_ratios(derivative_table(AsfEvaluator(model, dist), 1), 1).ratios
+    got = ratios[MomentIndex.of((1, 1))] / ratios[MomentIndex.of((2, 1))]
     assert got == pytest.approx(expected, rel=1e-6)
-
-
-def test_exponent_ratio_requires_power_model(logit_mixture):
-    model, beta = logit_mixture
-    with pytest.raises(PreconditionError):
-        exponent_moment_ratio(AsfEvaluator(model, beta), 1, 2)
 
 
 def exact_estimates(alphas, beta, order):
@@ -334,12 +304,24 @@ def exact_estimates(alphas, beta, order):
     return out
 
 
+def _plugin_ratio(estimates, target, reference):
+    """Plug-in moment ratio: the chain over a table of supplied entries."""
+    table = DerivativeTable(
+        dims=DIMS,
+        center=None,
+        entries={(k, idx.pairs): v for (k, idx), v in estimates.items()},
+        stencil_nodes=0,
+    )
+    chain = chain_ratios(table, target.order)
+    return chain.ratios[target] / chain.ratios[reference]
+
+
 def test_plugin_exact_in_exact_out(logit_mixture):
     model, beta = logit_mixture
     est = exact_estimates(model.alphas, beta, 2)
     ref = MomentIndex.of((1, 1), (1, 1))
     for idx in (MomentIndex.of((1, 1), (2, 1)), MomentIndex.of((2, 1), (2, 1))):
-        got = plugin_estimate(DIMS, est, idx, ref)
+        got = _plugin_ratio(est, idx, ref)
         assert got == pytest.approx(beta.moment(idx), rel=1e-12)
 
 
@@ -352,7 +334,7 @@ def test_plugin_perturbation_sensitivity(logit_mixture):
     ref = MomentIndex.of((1, 1), (1, 1))
     noisy[(1, target)] = est[(1, target)] * 1.01
     noisy[(2, ref)] = est[(2, ref)] * 0.99
-    got = plugin_estimate(DIMS, noisy, target, ref)
+    got = _plugin_ratio(noisy, target, ref)
     truth = beta.moment(target)
     assert abs(got - truth) / truth <= 0.0205
     assert abs(got - truth) / truth >= 0.015
@@ -367,10 +349,7 @@ def test_plugin_chained_product_identity(logit_mixture):
     m22 = MomentIndex.of((2, 1), (2, 1))
     r1 = est[(1, m12)] / est[(2, m11)]
     r2 = est[(1, m22)] / est[(2, m12)]
-    assert plugin_estimate(DIMS, est, m22, m11) == r1 * r2
-    # estimates keyed by bare (good, characteristic) pairs chain the same way
-    bare = {(k, idx.pairs): v for (k, idx), v in est.items()}
-    assert plugin_estimate(DIMS, bare, m22.pairs, m11.pairs) == r1 * r2
+    assert _plugin_ratio(est, m22, m11) == r1 * r2
 
 
 def test_plugin_zero_denominator(logit_mixture):
@@ -378,7 +357,7 @@ def test_plugin_zero_denominator(logit_mixture):
     est = exact_estimates(model.alphas, beta, 2)
     dead = {k: 0.0 for k in est}
     with pytest.raises(RelevanceError):
-        plugin_estimate(DIMS, dead, MomentIndex.of((1, 1), (2, 1)), MomentIndex.of((1, 1), (1, 1)))
+        _plugin_ratio(dead, MomentIndex.of((1, 1), (2, 1)), MomentIndex.of((1, 1), (1, 1)))
 
 
 def test_three_routes_agree_when_all_apply():
