@@ -1,7 +1,8 @@
 """Numerical identification toolkit for random-coefficient perturbed
-utility models: exact mean-demand oracles, finite-difference derivative
-tables at a centering point, constructive recovery of coefficient moments
-and value-function derivatives, welfare and counterfactual objects, and
+utility models: exact mean-demand oracles over one finite coefficient
+support (independent-coordinate products are compiled to it), finite-
+difference derivative tables at a centering point, constructive recovery of
+coefficient moments and value-function derivatives, welfare objects, and
 consistency diagnostics.
 """
 
@@ -15,8 +16,6 @@ from .diagnostics import (
 from .distributions import (
     DiscreteBeta,
     MomentIndex,
-    ProductBeta,
-    UnivariateAtoms,
     all_moment_indices,
     true_moments,
 )
@@ -45,7 +44,6 @@ from .recovery import (
 from .welfare import (
     TaylorVModel,
     average_indirect_utility,
-    counterfactual_demand,
     default_trust_radius,
     path_integral_v,
     quantile_match_vprime,

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import support_arrays
 from .exceptions import ConfigurationError
 
 
@@ -101,7 +100,6 @@ class AsfEvaluator:
             raise ConfigurationError("model and coefficient distribution disagree on dims")
         self.model = model
         self.beta_dist = beta_dist
-        self._weights, self._points = support_arrays(beta_dist)
         self.points_evaluated = 0
         self.kernel_calls = 0
 
@@ -123,7 +121,8 @@ class AsfEvaluator:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ConfigurationError("asf_batch takes a matrix with one covariate point per row")
-        values = self._weights @ self.ybar_given_beta(X, self._points)
+        beta = self.beta_dist
+        values = beta.weights @ self.ybar_given_beta(X, beta.points)
         self.points_evaluated += len(X)
         self.kernel_calls += 1
         return values

@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .asf import AsfEvaluator
 from .diagnostics import build_report
-from .distributions import DiscreteBeta, ProductBeta, UnivariateAtoms, true_moments
+from .distributions import DiscreteBeta, true_moments
 from .exceptions import (
     AnchorError,
     ConfigurationError,
@@ -214,8 +214,9 @@ _BETA_KEYS = {"discrete": ("points", "weights"), "product": ("marginals",)}
 
 
 def _build_beta(block, dims):
-    """The coefficient distribution; both types check their length against
-    ``sum(dims)`` without allocating anything of that size."""
+    """The coefficient distribution as one support; both types check their
+    length against ``sum(dims)``, and a product its size, without allocating
+    anything of that size."""
     if not isinstance(block, dict) or "type" not in block:
         raise ConfigurationError("beta must be an object with a 'type' key")
     kind = block["type"]
@@ -229,13 +230,12 @@ def _build_beta(block, dims):
     marginals = []
     for m in _array(block["marginals"], "beta.marginals"):
         _expect_keys(m, "beta.marginals[]", required=("values", "weights"))
-        marginals.append(
-            UnivariateAtoms(
-                _numbers(m["values"], "beta.marginals[].values"),
-                _numbers(m["weights"], "beta.marginals[].weights"),
-            )
-        )
-    return ProductBeta(dims, tuple(marginals))
+        values = _numbers(m["values"], "beta.marginals[].values")
+        marginals.append((values, _numbers(m["weights"], "beta.marginals[].weights")))
+    try:
+        return DiscreteBeta.product(dims, marginals)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"beta.marginals: {exc}") from None
 
 
 def _build_scheme(block):
@@ -316,7 +316,7 @@ class ScenarioConfig:
     """Validated configuration with the objects the pipeline consumes."""
 
     model: object
-    beta: object
+    beta: DiscreteBeta
     scheme: FdScheme
     route: str
     max_order: int
@@ -485,7 +485,7 @@ def run(config_path, out_dir, max_order=None, scheme=None, route=None):
 
     try:
         if max_order is not None:
-            _override(raw, "recovery", "max_order", int(max_order))
+            _override(raw, "recovery", "max_order", _integer(max_order, "recovery.max_order"))
         if scheme is not None:
             _override(raw, "fd", "kind", scheme)
         if route is not None:
@@ -497,6 +497,9 @@ def run(config_path, out_dir, max_order=None, scheme=None, route=None):
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        # a report this run does not write must not survive from an earlier one
+        for name in ("moments.csv", "v_derivs.csv"):
+            (out / name).unlink(missing_ok=True)
     except OSError as exc:
         return _output_error(exc, out)
     clock.lap("parse")

@@ -10,13 +10,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .exceptions import ConfigurationError
 
 WEIGHT_TOL = 1e-12
+# Largest product support built from marginals: a bound on memory, since every
+# ASF evaluation is linear in the support size.
+MAX_PRODUCT_SUPPORT = 1 << 16
 
 
 @functools.cache
@@ -87,21 +90,24 @@ def _check_weights(weights):
         raise ConfigurationError("weights must be nonnegative")
     if abs(w.sum() - 1.0) > WEIGHT_TOL:
         raise ConfigurationError(f"weights sum to {w.sum()}, expected 1 within {WEIGHT_TOL}")
-    return w
 
 
 @dataclass(frozen=True)
 class DiscreteBeta:
-    """Finitely many support vectors with probability weights."""
+    """Finitely many support vectors with probability weights.
+    ``weights_checked`` skips the sum check for weights checked elsewhere."""
 
     dims: tuple[int, ...]
     points: np.ndarray
     weights: np.ndarray
+    weights_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, weights_checked):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = _check_weights(self.weights)
+        w = np.asarray(self.weights, dtype=float)
+        if not weights_checked:
+            _check_weights(w)
         if pts.shape[0] != w.shape[0]:
             raise ConfigurationError("one weight per support point required")
         if pts.shape[1] != sum(self.dims):
@@ -113,97 +119,45 @@ class DiscreteBeta:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
-    def support(self):
-        """Iterate (weight, coefficient vector) pairs."""
-        return zip(self.weights, self.points)
+    @classmethod
+    def product(cls, dims, marginals):
+        """Mutually independent coordinates, one (values, weights) marginal
+        each, over their product support in ``itertools.product`` order (the
+        last coordinate fastest), each weight the product of its marginal
+        weights taken left to right.  Each marginal's weights are checked, the
+        product's are not: within ``WEIGHT_TOL`` of 1 each, their product may
+        sum further from 1.  A product of more than ``MAX_PRODUCT_SUPPORT``
+        points is rejected before anything of its size is allocated."""
+        if len(marginals) != sum(dims):
+            raise ConfigurationError(f"{len(marginals)} marginals supplied, expected {sum(dims)}")
+        for values, weights in marginals:
+            _check_weights(weights)
+            if len(values) != len(weights):
+                raise ConfigurationError("one weight per atom required")
+        size = math.prod(len(values) for values, _ in marginals)
+        if size > MAX_PRODUCT_SUPPORT:
+            raise ConfigurationError(f"a product of {size} points, more than {MAX_PRODUCT_SUPPORT}")
+        points = np.array(list(itertools.product(*(v for v, _ in marginals))), dtype=float)
+        weights = (np.asarray(w, dtype=float) for _, w in marginals)
+        joint = functools.reduce(lambda a, b: np.multiply.outer(a, b).ravel(), weights, np.ones(1))
+        return cls(dims, points.reshape(size, len(marginals)), joint, weights_checked=True)
 
     def moment(self, idx: MomentIndex) -> float:
-        idx.validate(self.dims)
-        pos = [flat_position(self.dims, g, c) for g, c in idx.pairs]
-        vals = np.prod(self.points[:, pos], axis=1) if pos else np.ones(len(self.weights))
-        return float(np.dot(self.weights, vals))
-
-
-@dataclass(frozen=True)
-class UnivariateAtoms:
-    """Finite distribution of a single scalar coefficient."""
-
-    values: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        v = tuple(float(x) for x in self.values)
-        w = _check_weights(self.weights)
-        if len(v) != len(w):
-            raise ConfigurationError("one weight per atom required")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
-
-    def raw_moment(self, power: int) -> float:
-        # a numpy scalar power overflows to inf, where a Python float power raises
-        return float(sum(w * np.float64(v) ** power for v, w in zip(self.values, self.weights)))
-
-
-@dataclass(frozen=True)
-class ProductBeta:
-    """Mutually independent coordinates, each with a finite distribution.
-
-    Satisfies the independence premise for the first coordinate by
-    construction, so it is the natural input for the independence route.
-    """
-
-    dims: tuple[int, ...]
-    marginals: tuple[UnivariateAtoms, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "marginals", tuple(self.marginals))
-        if len(self.marginals) != sum(self.dims):
-            raise ConfigurationError(
-                f"{len(self.marginals)} marginals supplied, expected {sum(self.dims)}"
-            )
-
-    def support(self):
-        """Iterate the full product support as (weight, vector) pairs."""
-        grids = [list(zip(m.values, m.weights)) for m in self.marginals]
-        for combo in itertools.product(*grids):
-            w = math.prod(c[1] for c in combo)
-            yield w, np.array([c[0] for c in combo])
-
-    def moment(self, idx: MomentIndex) -> float:
-        idx.validate(self.dims)
-        powers: dict[int, int] = {}
-        for g, c in idx.pairs:
-            p = flat_position(self.dims, g, c)
-            powers[p] = powers.get(p, 0) + 1
-        out = 1.0
-        for p, k in powers.items():
-            out *= self.marginals[p].raw_moment(k)
-        return out
-
-
-def support_arrays(dist):
-    """Support weights (S,) and coefficient vectors (S, total_dim) as arrays."""
-    support = list(dist.support())
-    return (
-        np.array([w for w, _ in support], dtype=float),
-        np.array([b for _, b in support], dtype=float),
-    )
+        return true_moments(self, [idx])[0]
 
 
 def true_moments(dist, indices):
-    """Exact moments of ``indices``, all of one order, as a list of floats.
-
-    A ``DiscreteBeta`` takes every product in one pass over its support;
-    other distributions are asked index by index.
-    """
+    """Exact moments of ``indices``, all of one order, as a list of floats,
+    from one pass over the support; a product beyond the float range is
+    infinite."""
     indices = tuple(indices)
-    if not isinstance(dist, DiscreteBeta) or not indices:
-        return [dist.moment(idx) for idx in indices]
+    if not indices:
+        return []
     cols = np.asarray(
         [[flat_position(dist.dims, g, c) for g, c in idx.pairs] for idx in indices], dtype=np.intp
     )
-    products = np.prod(dist.points[:, cols], axis=2)  # (support, indices)
+    with np.errstate(over="ignore"):
+        products = np.prod(dist.points[:, cols], axis=2)  # (support, indices)
     return (dist.weights @ products).tolist()
 
 

@@ -1,5 +1,5 @@
-"""Value-function reconstruction away from the center, welfare aggregates,
-and counterfactual demand distributions.
+"""Value-function reconstruction away from the center, and welfare
+aggregates.
 
 Two reconstruction routes: a multivariate Taylor polynomial assembled from
 recovered derivative tables (valid inside a trust radius, flagged outside),
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import flat_offsets, flat_position, support_arrays
+from .distributions import flat_offsets, flat_position
 from .exceptions import ConfigurationError, ExtrapolationWarning, PreconditionError, WeightingError
 
 PATH_NODES = 32
@@ -166,8 +166,7 @@ def _inverse_count_factorial(gamma):
 
 def default_trust_radius(model, beta_dist, x, cap=1.0):
     """Half the largest index magnitude over the support at x, capped."""
-    _, betas = support_arrays(beta_dist)
-    largest = float(np.max(np.abs(model.indices(x, betas))))
+    largest = float(np.max(np.abs(model.indices(x, beta_dist.points))))
     return min(cap, 0.5 * largest) if largest > 0 else cap
 
 
@@ -177,14 +176,15 @@ def _first_char_positions(dims):
 
 
 def _require_unit_first_coefficients(beta_dist):
-    dims = beta_dist.dims
-    for pos in _first_char_positions(dims):
-        for _, beta in beta_dist.support():
-            if abs(beta[pos] - 1.0) > _UNIT_COEF_TOL:
-                raise PreconditionError(
-                    "path-integral recovery needs a unit coefficient on the first "
-                    f"characteristic of every good; found {beta[pos]} at position {pos}"
-                )
+    positions = _first_char_positions(beta_dist.dims)
+    firsts = beta_dist.points[:, positions].T
+    off = np.argwhere(np.abs(firsts - 1.0) > _UNIT_COEF_TOL)
+    if len(off):
+        k, s = off[0]
+        raise PreconditionError(
+            "path-integral recovery needs a unit coefficient on the first "
+            f"characteristic of every good; found {firsts[k, s]} at position {positions[k]}"
+        )
 
 
 def _require_first_char_only(dims, x, center, name):
@@ -243,7 +243,7 @@ def average_indirect_utility(vmodel, model, beta_dist, x, weighting="unweighted"
     """
     if weighting not in WEIGHTINGS:
         raise ConfigurationError(f"unknown weighting {weighting!r}")
-    weights, betas = support_arrays(beta_dist)
+    weights, betas = beta_dist.weights, beta_dist.points
     if weighting == "inverse_abs_beta11":
         first = np.abs(betas[:, flat_position(model.dims, 1, 1)])
         if np.any(first < _UNIT_COEF_TOL):
@@ -255,26 +255,6 @@ def average_indirect_utility(vmodel, model, beta_dist, x, weighting="unweighted"
     U = model.indices(np.asarray(x, dtype=float), betas)
     _warn_outside(U, vmodel.trust_radius)
     return float(weights @ vmodel.values(U))
-
-
-def counterfactual_demand(source, model, beta_dist, x):
-    """Distribution of per-coefficient mean demand at covariates x.
-
-    ``source`` is either a TaylorVModel (its gradient is the demand) or an
-    evaluator with ``ybar_given_beta``.  Returns (weight, demand) pairs, one
-    per support point.
-    """
-    x = np.asarray(x, dtype=float)
-    out = []
-    for w, beta in beta_dist.support():
-        if hasattr(source, "gradient_at"):
-            demand = source.gradient_at(model.indices(x, beta))
-        elif hasattr(source, "ybar_given_beta"):
-            demand = source.ybar_given_beta(x, beta)
-        else:
-            raise ConfigurationError("source must expose gradient_at or ybar_given_beta")
-        out.append((float(w), np.asarray(demand, dtype=float)))
-    return out
 
 
 def _merge_atoms(values, weights):

@@ -20,9 +20,7 @@ from rcpum import (
     FdScheme,
     LogitModel,
     MomentIndex,
-    ProductBeta,
     TaylorVModel,
-    UnivariateAtoms,
     VDerivTable,
     build_report,
     cauchy_schwarz_check,
@@ -92,9 +90,9 @@ def test_criterion_02_bundles_route(smoothed_bundle, smoothed_bundle_table):
 @pytest.mark.parametrize("mean_sign", [+1.0, -1.0])
 def test_criterion_03_independence_route(mean_sign):
     first = (0.5, 1.5) if mean_sign > 0 else (-1.5, -0.5)
-    beta = ProductBeta(
+    beta = DiscreteBeta.product(
         DIMS,
-        (UnivariateAtoms(first, (0.5, 0.5)), UnivariateAtoms((1.0, 3.0), (0.5, 0.5))),
+        ((first, (0.5, 0.5)), ((1.0, 3.0), (0.5, 0.5))),
     )
     model = LogitModel(dims=DIMS, alphas=(0.2, -0.1), outside_good=True)
     table = derivative_table(AsfEvaluator(model, beta), 3, CRIT1_SCHEME)

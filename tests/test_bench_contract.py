@@ -37,9 +37,15 @@ def tracing():
 @pytest.mark.parametrize("workload", ["ladder-logit", "ladder-bundle"])
 def test_every_generated_config_parses(workload):
     # the logit ladder draws its intercepts through logit.derivative
+    # and a product parses to the oracle's support, bitwise and in its order
     workloads = _load("workloads")
+    oracle = _load("oracle")
     for scenario in workloads.generate(workload, 1, BUNDLED_CONFIGS):
-        parse_config(scenario.config)
+        beta = parse_config(scenario.config).beta
+        if scenario.config["beta"]["type"] == "product":
+            support = oracle.Truth(scenario.config).support
+            assert beta.weights.tolist() == [w for w, _ in support]
+            assert beta.points.tolist() == [b.tolist() for _, b in support]
 
 
 def test_every_trace_target_resolves(tracing):

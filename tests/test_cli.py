@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from rcpum import (
     recovery,
 )
 from rcpum.cli import main, parse_config, resolve_config_path, run
+from rcpum.distributions import MAX_PRODUCT_SUPPORT, WEIGHT_TOL
 from rcpum.models import LogitModel
 from rcpum.numdiff import table_plan
 
@@ -155,6 +157,17 @@ def test_irrelevant_coefficients_exit_two(tmp_path):
     assert summary["results"]["moments"] == {}
 
 
+def test_failed_rerun_leaves_no_stale_reports(tmp_path):
+    out = tmp_path / "out"
+    assert run(bundled("logit_k2_mixture"), out) == 0
+    raw = json.loads(bundled("logit_k2_mixture").read_text())
+    raw["beta"]["points"] = [[0.0] * len(p) for p in raw["beta"]["points"]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert run(cfg, out) == 2
+    assert {p.name for p in out.iterdir()} == {"summary.json", "run_meta.json"}
+
+
 def test_reports_are_deterministic(tmp_path):
     for name in ("logit_k2_mixture", "bundle_k2_smoothed"):
         run(bundled(name), tmp_path / f"{name}_a")
@@ -224,6 +237,12 @@ def test_route_override(tmp_path):
     assert summary["results"]["moments"]["2"]["entries"]["b2.1*b2.1"] == pytest.approx(
         5.0, rel=1e-4
     )
+
+
+def test_fractional_max_order_argument_exits_one(tmp_path, capsys):
+    assert run(bundled("logit_k2_mixture"), tmp_path / "out", max_order=2.7) == 1
+    assert capsys.readouterr().err == "config error: recovery.max_order must be an integer\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_forward_scheme_override(tmp_path):
@@ -806,6 +825,38 @@ def test_failing_order_keeps_the_orders_below(tmp_path):
     assert list(results[3]["moments"]) == ["1"]
     assert results[3]["moments"] == results[1]["moments"]
     assert results[3]["diagnostics"]["relevance"] == results[1]["diagnostics"]["relevance"]
+
+
+def test_product_weights_are_checked_per_marginal():
+    # each marginal sums to 1 + 0.9e-12, inside the tolerance; their product
+    # sums to about 1 + 1.8e-12, outside it, and is kept as it is
+    raw = json.loads(bundled("independence_k2").read_text())
+    for m in raw["beta"]["marginals"]:
+        m["weights"] = [0.5, 0.5 + 0.9e-12]
+    beta = parse_config(raw).beta
+    assert beta.weights.sum() - 1.0 > WEIGHT_TOL
+    assert beta.weights[-1] == (0.5 + 0.9e-12) * (0.5 + 0.9e-12)
+    raw["beta"]["marginals"][1]["weights"] = [0.5, 0.5 + 2e-12]
+    with pytest.raises(ConfigurationError, match="beta.marginals: weights sum"):
+        parse_config(raw)
+
+
+def test_oversized_product_exits_one_before_building_its_support(tmp_path, capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("the product support was built")
+
+    monkeypatch.setattr(itertools, "product", build)
+    n = MAX_PRODUCT_SUPPORT.bit_length()  # 2**n support points, more than the cap
+    raw = json.loads(bundled("independence_k2").read_text())
+    raw["model"]["dims"] = [n - 1, 1]
+    raw["beta"]["marginals"] = [{"values": [0.5, 1.5], "weights": [0.5, 0.5]}] * n
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert run(cfg, tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        f"config error: beta.marginals: a product of {2**n} points, "
+        f"more than {MAX_PRODUCT_SUPPORT}\n"
+    )
 
 
 def test_resolve_config_path_passthrough(tmp_path):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import pytest
 from hypothesis import given
@@ -8,8 +10,6 @@ from rcpum import (
     ConfigurationError,
     DiscreteBeta,
     MomentIndex,
-    ProductBeta,
-    UnivariateAtoms,
     all_moment_indices,
     true_moments,
 )
@@ -52,35 +52,39 @@ def test_point_mass_moments_are_one():
 
 
 def test_product_moments_factorize():
-    dist = ProductBeta(
-        DIMS,
-        (UnivariateAtoms((0.5, 1.5), (0.5, 0.5)), UnivariateAtoms((1.0, 3.0), (0.5, 0.5))),
-    )
-    m1 = dist.moment(MomentIndex.of((1, 1)))
-    m2 = dist.moment(MomentIndex.of((2, 1)))
-    cross = dist.moment(MomentIndex.of((1, 1), (2, 1)))
-    assert cross == pytest.approx(m1 * m2)
+    first, second = ((0.5, 1.5), (0.5, 0.5)), ((1.0, 3.0), (0.25, 0.75))
+    dist = DiscreteBeta.product(DIMS, (first, second))
+    m1 = sum(v * w for v, w in zip(*first))
+    m2 = sum(v * w for v, w in zip(*second))
+    assert dist.moment(MomentIndex.of((1, 1))) == pytest.approx(m1)
+    assert dist.moment(MomentIndex.of((2, 1))) == pytest.approx(m2)
+    assert dist.moment(MomentIndex.of((1, 1), (2, 1))) == pytest.approx(m1 * m2)
     assert dist.moment(MomentIndex.of((1, 1), (1, 1))) == pytest.approx(1.25)
 
 
-def test_overflowing_raw_moment_is_infinite():
-    # a Python float power would raise OverflowError here
-    atoms = UnivariateAtoms((0.5, 1e308), (0.5, 0.5))
-    assert atoms.raw_moment(1) == 5e307
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert atoms.raw_moment(2) == math.inf
-    dist = ProductBeta(DIMS, (atoms, UnivariateAtoms((1.0, 3.0), (0.5, 0.5))))
-    with pytest.warns(RuntimeWarning, match="overflow"):
+def test_overflowing_moment_is_infinite():
+    # a Python float product would raise OverflowError here, and numpy's warns
+    dist = DiscreteBeta.product(DIMS, (((0.5, 1e308), (0.5, 0.5)), ((1.0, 3.0), (0.5, 0.5))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dist.moment(MomentIndex.of((1, 1))) == 5e307
         assert true_moments(dist, [MomentIndex.of((1, 1), (1, 1), (2, 1))]) == [math.inf]
 
 
 def test_product_support_matches_moments():
-    dist = ProductBeta(
-        DIMS,
-        (UnivariateAtoms((0.5, 1.5), (0.25, 0.75)), UnivariateAtoms((1.0, 3.0), (0.5, 0.5))),
+    # itertools.product order, last coordinate fastest, weights multiplied
+    # left to right: the enumeration the ASF sums over
+    marginals = (
+        ((0.5, 1.5), (0.25, 0.75)),
+        ((1.0, 3.0), (0.5, 0.5)),
+        ((0.2, 0.9, 1.7), (0.2, 0.3, 0.5)),
     )
-    idx = MomentIndex.of((1, 1), (2, 1), (2, 1))
-    brute = sum(w * b[0] * b[1] * b[1] for w, b in dist.support())
+    dist = DiscreteBeta.product((2, 1), marginals)
+    combos = list(itertools.product(*(list(zip(*m)) for m in marginals)))
+    assert dist.points.tolist() == [[v for v, _ in combo] for combo in combos]
+    assert dist.weights.tolist() == [math.prod(w for _, w in combo) for combo in combos]
+    idx = MomentIndex.of((1, 1), (1, 2), (1, 2), (2, 1))
+    brute = sum(math.prod(w for _, w in c) * c[0][0] * c[1][0] ** 2 * c[2][0] for c in combos)
     assert dist.moment(idx) == pytest.approx(brute, rel=1e-14)
 
 
@@ -97,7 +101,9 @@ def test_dimension_validation():
     with pytest.raises(ConfigurationError):
         DiscreteBeta(DIMS, [[1.0, 1.0, 1.0]], [1.0])
     with pytest.raises(ConfigurationError):
-        ProductBeta(DIMS, (UnivariateAtoms((1.0,), (1.0,)),))
+        DiscreteBeta.product(DIMS, (((1.0,), (1.0,)),))
+    with pytest.raises(ConfigurationError, match="one weight per atom"):
+        DiscreteBeta.product(DIMS, (((1.0,), (1.0,)), ((1.0, 2.0), (1.0,))))
 
 
 def test_moment_index_bounds_checked_against_dims():
@@ -123,12 +129,12 @@ def test_all_moment_indices_counts():
             [[1.0, 0.5, 2.0], [0.3, 1.5, -1.0], [-0.7, 2.5, 0.4]],
             [0.25, 0.35, 0.4],
         ),
-        ProductBeta(
+        DiscreteBeta.product(
             (2, 1),
             (
-                UnivariateAtoms((0.5, 1.5), (0.25, 0.75)),
-                UnivariateAtoms((-1.0, 3.0), (0.5, 0.5)),
-                UnivariateAtoms((0.2, 0.9, 1.7), (0.2, 0.3, 0.5)),
+                ((0.5, 1.5), (0.25, 0.75)),
+                ((-1.0, 3.0), (0.5, 0.5)),
+                ((0.2, 0.9, 1.7), (0.2, 0.3, 0.5)),
             ),
         ),
     ],

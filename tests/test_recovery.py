@@ -9,9 +9,7 @@ from rcpum import (
     LogitModel,
     MomentIndex,
     PreconditionError,
-    ProductBeta,
     RelevanceError,
-    UnivariateAtoms,
     VDerivTable,
     chain_ratios,
     derivative_table,
@@ -154,9 +152,9 @@ def test_scale_equivariance(logit_mixture_table):
 def test_independence_route_positive_mean():
     dims = DIMS
     model = LogitModel(dims=dims, alphas=(0.2, -0.1), outside_good=True)
-    beta = ProductBeta(
+    beta = DiscreteBeta.product(
         dims,
-        (UnivariateAtoms((0.5, 1.5), (0.5, 0.5)), UnivariateAtoms((1.0, 3.0), (0.5, 0.5))),
+        (((0.5, 1.5), (0.5, 0.5)), ((1.0, 3.0), (0.5, 0.5))),
     )
     table = derivative_table(AsfEvaluator(model, beta), 3)
     tables = _independence(table, 3, 1.0)
@@ -170,9 +168,9 @@ def test_independence_route_positive_mean():
 def test_independence_route_negative_mean():
     dims = DIMS
     model = LogitModel(dims=dims, alphas=(0.2, -0.1), outside_good=True)
-    beta = ProductBeta(
+    beta = DiscreteBeta.product(
         dims,
-        (UnivariateAtoms((-1.5, -0.5), (0.5, 0.5)), UnivariateAtoms((1.0, 3.0), (0.5, 0.5))),
+        (((-1.5, -0.5), (0.5, 0.5)), ((1.0, 3.0), (0.5, 0.5))),
     )
     table = derivative_table(AsfEvaluator(model, beta), 2)
     tables = _independence(table, 2, 1.0)
@@ -364,9 +362,9 @@ def test_three_routes_agree_when_all_apply():
     # scale, independence, and v-known recover the same tables entrywise
     dims = DIMS
     model = LogitModel(dims=dims, alphas=(0.2, -0.1), outside_good=True)
-    beta = ProductBeta(
+    beta = DiscreteBeta.product(
         dims,
-        (UnivariateAtoms((0.5, 1.5), (0.5, 0.5)), UnivariateAtoms((1.0, 3.0), (0.5, 0.5))),
+        (((0.5, 1.5), (0.5, 0.5)), ((1.0, 3.0), (0.5, 0.5))),
     )
     table = derivative_table(AsfEvaluator(model, beta), 2)
     v = VDerivTable(model.kernel.value_partials(3))

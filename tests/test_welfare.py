@@ -15,7 +15,6 @@ from rcpum import (
     VDerivTable,
     WeightingError,
     average_indirect_utility,
-    counterfactual_demand,
     default_trust_radius,
     derivative_table,
     path_integral_v,
@@ -23,6 +22,7 @@ from rcpum import (
     recover_moments_scale,
     recover_v_derivatives,
 )
+from rcpum import logit
 
 DIMS = (1, 1)
 ALPHAS = (0.0, 0.0)
@@ -238,30 +238,28 @@ def test_inverse_weighting_rejects_zero_coefficient():
 
 
 def test_counterfactual_point_mass_matches_ybar(recovered_taylor):
+    # one demand row per support point, the point mass's equal to the
+    # closed-form logit choice probabilities at its indices
     model, beta, evaluator, _ = recovered_taylor
     x = np.array([0.05, -0.03])
-    pairs = counterfactual_demand(evaluator, model, beta, x)
-    assert len(pairs) == 1
-    w, demand = pairs[0]
-    assert w == 1.0
-    assert np.allclose(demand, evaluator.ybar_given_beta(x, np.array([1.0, 1.0])))
+    demand = evaluator.ybar_given_beta(x, beta.points)
+    assert demand.shape == (1, 2)
+    assert np.allclose(demand[0], logit.choice_probabilities(ALPHAS, x, True), rtol=1e-14)
 
 
 def test_counterfactual_mixture_at_log_two():
     model = LogitModel(dims=DIMS, alphas=ALPHAS)
     mix = DiscreteBeta(DIMS, [[1.0, 1.0], [1.0, 3.0]], [0.5, 0.5])
     evaluator = AsfEvaluator(model, mix)
-    pairs = counterfactual_demand(evaluator, model, mix, np.array([math.log(2.0), 0.0]))
-    for w, demand in pairs:
-        assert np.allclose(demand, [2 / 3, 1 / 3])
-    assert sum(w for w, _ in pairs) == pytest.approx(1.0, abs=1e-12)
+    demand = evaluator.ybar_given_beta(np.array([math.log(2.0), 0.0]), mix.points)
+    assert np.allclose(demand, [[2 / 3, 1 / 3]] * 2)
 
 
 def test_counterfactual_taylor_gradient_inside_radius(recovered_taylor):
     model, beta, evaluator, vmodel = recovered_taylor
     x = np.array([0.05, 0.02])
-    (w_t, via_taylor), = counterfactual_demand(vmodel, model, beta, x)
-    (w_e, via_eval), = counterfactual_demand(evaluator, model, beta, x)
+    via_taylor = vmodel.gradient_at(model.indices(x, beta.points[0]))
+    (via_eval,) = evaluator.ybar_given_beta(x, beta.points)
     assert np.allclose(via_taylor, via_eval, atol=1e-4)
     assert np.all(via_taylor >= 0.0) and via_taylor.sum() <= 1.0 + 1e-9
 
@@ -492,5 +490,7 @@ def test_average_indirect_utility_warns_per_outside_point(recovered_taylor):
     with pytest.warns(ExtrapolationWarning) as record:
         got = average_indirect_utility(vmodel, model, mix, x)
     assert len(record) == 2
-    want = sum(w * vmodel.values(model.indices(x, b)[None])[0] for w, b in mix.support())
+    want = sum(
+        w * vmodel.values(model.indices(x, b)[None])[0] for w, b in zip(mix.weights, mix.points)
+    )
     assert got == pytest.approx(want, rel=1e-14)
