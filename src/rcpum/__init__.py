@@ -29,7 +29,7 @@ from .exceptions import (
     RelevanceError,
     WeightingError,
 )
-from .models import BundleModel, BundleScenario, LogitModel
+from .models import BundleModel, LogitModel
 from .numdiff import DerivativeTable, FdScheme, derivative_table
 from .recovery import (
     ChainResult,
@@ -46,7 +46,6 @@ from .welfare import (
     average_indirect_utility,
     default_trust_radius,
     path_integral_v,
-    quantile_match_vprime,
 )
 
 __version__ = "0.1.0"

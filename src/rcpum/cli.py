@@ -44,7 +44,7 @@ from .exceptions import (
     RelevanceError,
     WeightingError,
 )
-from .models import BundleModel, BundleScenario, LogitModel
+from .models import BundleModel, LogitModel
 from .numdiff import MAX_ORDER, FdScheme, derivative_table
 from .recovery import (
     DEFAULT_TAU_REL,
@@ -144,6 +144,8 @@ def _model_dims(block):
     if not isinstance(block, dict) or "type" not in block:
         raise ConfigurationError("model must be an object with a 'type' key")
     kind = block["type"]
+    if not isinstance(kind, str):
+        raise ConfigurationError("model.type must be a string")
     if kind not in _MODEL_KEYS:
         raise ConfigurationError(f"unknown model type {kind!r}")
     _expect_keys(
@@ -170,10 +172,10 @@ def _build_model(block, dims):
             index_form=block.get("index_form", "linear"),
             **common,
         )
-    scens = []
     triple = "model.scenarios[].complementarities[]"
     pair = f"{triple} goods"
     consider = "model.scenarios[].consideration"
+    weights, intercepts, pairs, consideration = [], [], [], []
     for s in _array(block.get("scenarios", ()), "model.scenarios"):
         _expect_keys(
             s,
@@ -185,23 +187,20 @@ def _build_model(block, dims):
         for c in _array(s.get("complementarities", []), "model.scenarios[].complementarities"):
             j, k, v = _array(c, triple, 3)
             comps.append((_integer(j, pair), _integer(k, pair), _number(v, f"{triple} values")))
-        consideration = s.get("consideration")
-        if consideration is not None:
-            consideration = frozenset(
-                _numbers(y, f"{consider}[]") for y in _array(consideration, consider)
-            )
-        scens.append(
-            BundleScenario(
-                weight=_number(s["weight"], "model.scenarios[].weight"),
-                intercepts=_numbers(s["intercepts"], "model.scenarios[].intercepts"),
-                complementarities=tuple(comps),
-                consideration=consideration,
-            )
+        pairs.append(comps)
+        c = s.get("consideration")
+        consideration.append(
+            None if c is None else [_numbers(y, f"{consider}[]") for y in _array(c, consider)]
         )
+        weights.append(_number(s["weight"], "model.scenarios[].weight"))
+        intercepts.append(_numbers(s["intercepts"], "model.scenarios[].intercepts"))
     lattice = block.get("lattice")
     smoothing = block.get("smoothing")
     return BundleModel(
-        scenarios=tuple(scens),
+        weights=weights,
+        intercepts=intercepts,
+        complementarities=pairs,
+        consideration=consideration,
         lattice=None
         if lattice is None
         else tuple(_numbers(y, "model.lattice[]") for y in _array(lattice, "model.lattice")),
@@ -220,6 +219,8 @@ def _build_beta(block, dims):
     if not isinstance(block, dict) or "type" not in block:
         raise ConfigurationError("beta must be an object with a 'type' key")
     kind = block["type"]
+    if not isinstance(kind, str):
+        raise ConfigurationError("beta.type must be a string")
     if kind not in _BETA_KEYS:
         raise ConfigurationError(f"unknown beta distribution type {kind!r}")
     _expect_keys(block, "beta", required=("type",) + _BETA_KEYS[kind])
@@ -491,7 +492,7 @@ def run(config_path, out_dir, max_order=None, scheme=None, route=None):
         if route is not None:
             _override(raw, "recovery", "route", route)
         config = parse_config(raw)
-    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out = Path(out_dir)
@@ -594,10 +595,6 @@ def _output_error(exc, out):
 def _run_welfare(config, evaluator, asf_center, v_table):
     block = config.welfare
     model = config.model
-    orders = sorted({len(g) for g in v_table.entries})
-    tables = {
-        o: VDerivTable({g: v for g, v in v_table.items() if len(g) == o}) for o in orders
-    }
     points = block["points"]
     radius = block["trust_radius"]
     if radius is None:
@@ -605,11 +602,7 @@ def _run_welfare(config, evaluator, asf_center, v_table):
             (default_trust_radius(model, config.beta, x) for x in points),
             default=1.0,
         )
-    vmodel = TaylorVModel(
-        gradient=asf_center,
-        tables=tables,
-        trust_radius=radius,
-    )
+    vmodel = TaylorVModel(gradient=asf_center, v_derivs=v_table, trust_radius=radius)
     weighting = block["weighting"]
     out = {"weighting": weighting, "points": [], "path_integrals": []}
     for x in points:

@@ -226,44 +226,6 @@ class LogitModel(ModelSpec):
         return super().indices(x, beta)
 
 
-@dataclass(frozen=True)
-class BundleScenario:
-    """One realization of the bundle disturbance.
-
-    ``complementarities`` maps unordered good pairs (j, k), 1-based with
-    j < k, to the utility boost or loss of holding both; ``consideration``
-    restricts the bundles the agent evaluates (None means the full lattice).
-    """
-
-    weight: float
-    intercepts: tuple[float, ...]
-    complementarities: tuple[tuple[int, int, float], ...] = ()
-    consideration: frozenset | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "intercepts", tuple(float(v) for v in self.intercepts))
-        comps = []
-        for j, k, v in self.complementarities:
-            if not j < k:
-                raise ConfigurationError("complementarity pairs must satisfy j < k")
-            comps.append((int(j), int(k), float(v)))
-        object.__setattr__(self, "complementarities", tuple(comps))
-        if self.consideration is not None:
-            object.__setattr__(
-                self, "consideration", frozenset(tuple(float(q) for q in y) for y in self.consideration)
-            )
-
-    def disturbance(self, y):
-        """D(y, eps) for this scenario, or -inf for a bundle it does not
-        consider."""
-        if self.consideration is not None and tuple(y) not in self.consideration:
-            return -np.inf
-        d = sum(q * e for q, e in zip(y, self.intercepts))
-        for j, k, v in self.complementarities:
-            d += y[j - 1] * y[k - 1] * v
-        return d
-
-
 def _default_lattice(n_goods):
     return tuple(itertools.product((0.0, 1.0), repeat=n_goods))
 
@@ -273,60 +235,92 @@ class BundleModel(ModelSpec):
     """Finite bundle choice with latent consideration sets (per Example-2
     style utilities: per-good intercepts plus pairwise complementarities).
 
+    The T disturbance scenarios are given as arrays: ``weights`` (T,) and
+    ``intercepts`` (T, K); ``complementarities`` holds one sequence of (j,
+    k, v) triples per scenario, each adding v to the utility of a bundle
+    holding goods j < k (1-based); ``consideration`` holds per scenario the
+    bundles the agent evaluates, or None for the whole lattice.  Either
+    sequence may itself be None: no pairs, or the whole lattice, in every
+    scenario.
+
     ``smoothing`` is required: it adds an i.i.d. Gumbel taste shock of the
     given positive scale to every considered bundle, which integrates to a
     closed-form softmax over the lattice and makes the mean demand
     real-analytic in covariates.
 
-    The kernel scores every lattice bundle once per scenario.
+    The kernel's D adds the intercepts good by good, then each scenario's
+    pair terms in the order given, over the whole budget at once, and sets
+    -inf outside the consideration set: every entry is summed in the order
+    of a per-(scenario, bundle) loop, so D equals that loop's bitwise.
     """
 
-    scenarios: tuple[BundleScenario, ...] = ()
+    weights: np.ndarray = None
+    intercepts: np.ndarray = None
+    complementarities: tuple = None
+    consideration: tuple = None
     lattice: tuple[tuple[float, ...], ...] = None
     smoothing: float = None
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.scenarios:
+        K = self.n_goods
+        weights = np.array(() if self.weights is None else self.weights, dtype=float)
+        T = len(weights)
+        if weights.shape != (T,) or T == 0:
             raise ConfigurationError("at least one disturbance scenario required")
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        lattice = self.lattice if self.lattice is not None else _default_lattice(self.n_goods)
+        lattice = self.lattice if self.lattice is not None else _default_lattice(K)
         lattice = tuple(tuple(float(q) for q in y) for y in lattice)
         if not lattice:
             raise ConfigurationError("bundle lattice must be nonempty")
-        for y in lattice:
-            if len(y) != self.n_goods:
-                raise ConfigurationError("lattice vectors must have one quantity per good")
-        object.__setattr__(self, "lattice", lattice)
-        _check_scenarios(self.scenarios, self.n_goods, lattice)
+        if any(len(y) != K for y in lattice):
+            raise ConfigurationError("lattice vectors must have one quantity per good")
+        pairs = ((),) * T if self.complementarities is None else tuple(self.complementarities)
+        consider = (None,) * T if self.consideration is None else tuple(self.consideration)
+        if len(pairs) != T or len(consider) != T:
+            raise ConfigurationError("one complementarity and consideration entry per scenario")
+        if (weights < 0).any():
+            raise ConfigurationError("scenario weights must be nonnegative")
+        intercepts = () if self.intercepts is None else self.intercepts
+        if len(intercepts) != T or any(len(row) != K for row in intercepts):
+            raise ConfigurationError("one intercept per good required in each scenario")
+        pairs = tuple(tuple((int(j), int(k), float(v)) for j, k, v in comps) for comps in pairs)
+        for j, k, _ in (triple for comps in pairs for triple in comps):
+            if not j < k:
+                raise ConfigurationError("complementarity pairs must satisfy j < k")
+            if not (1 <= j and k <= K):
+                raise ConfigurationError("complementarity pair outside the good range")
+        consider = tuple(
+            c if c is None else frozenset(tuple(float(q) for q in y) for y in c) for c in consider
+        )
+        for c in (c for c in consider if c is not None):
+            if not c:
+                raise ConfigurationError("consideration sets must be nonempty")
+            if not c <= set(lattice):
+                raise ConfigurationError("consideration set must lie inside the bundle lattice")
+        total = sum(weights.tolist())
+        if abs(total - 1.0) > 1e-12:
+            raise ConfigurationError(f"scenario weights sum to {total}, expected 1 within 1e-12")
         if self.smoothing is None or not 0 < self.smoothing < np.inf:
             raise ConfigurationError(
                 f"bundle smoothing must be a positive finite Gumbel scale, got {self.smoothing}: "
                 "without it the choice is a hard argmax, whose mean demand is piecewise "
                 "constant, so its derivatives at the center identify no moment"
             )
+        intercepts = np.array(intercepts, dtype=float)
+        for name, value in (("weights", weights), ("intercepts", intercepts)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "complementarities", pairs)
+        object.__setattr__(self, "consideration", consider)
+        object.__setattr__(self, "lattice", lattice)
         budget = tuple(dict.fromkeys(lattice))  # a repeated lattice vector is one bundle
-        D = [[scen.disturbance(y) for y in budget] for scen in self.scenarios]
-        weights = [scen.weight for scen in self.scenarios]
-        self._compile(budget, D, weights, self.smoothing)
-
-
-def _check_scenarios(scenarios, n_goods, lattice):
-    total = 0.0
-    lattice_set = set(lattice)
-    for scen in scenarios:
-        if scen.weight < 0:
-            raise ConfigurationError("scenario weights must be nonnegative")
-        total += scen.weight
-        if len(scen.intercepts) != n_goods:
-            raise ConfigurationError("one intercept per good required in each scenario")
-        for j, k, _ in scen.complementarities:
-            if not (1 <= j <= n_goods and 1 <= k <= n_goods):
-                raise ConfigurationError("complementarity pair outside the good range")
-        if scen.consideration is not None:
-            if not scen.consideration:
-                raise ConfigurationError("consideration sets must be nonempty")
-            if not scen.consideration <= lattice_set:
-                raise ConfigurationError("consideration set must lie inside the bundle lattice")
-    if abs(total - 1.0) > 1e-12:
-        raise ConfigurationError(f"scenario weights sum to {total}, expected 1 within 1e-12")
+        Y = np.array(budget)
+        D = np.zeros((T, len(budget)))
+        for k in range(K):
+            D += np.outer(intercepts[:, k], Y[:, k])
+        for row, comps, c in zip(D, pairs, consider):
+            for j, k, v in comps:
+                row += Y[:, j - 1] * Y[:, k - 1] * v
+            if c is not None:
+                row[[y not in c for y in budget]] = -np.inf
+        self._compile(Y, D, weights, self.smoothing)

@@ -32,6 +32,7 @@ from .distributions import MomentIndex
 from .exceptions import AnchorError, ConfigurationError, PreconditionError, RelevanceError
 
 DEFAULT_TAU_REL = 1e-7
+_CONVEXITY_TOL = 1e-8  # diagonal second partials down to -tol pass
 
 
 @dataclass(frozen=True)
@@ -68,14 +69,13 @@ class VDerivTable:
 
     entries: dict
     discrepancies: dict = field(default_factory=dict)
-    convexity_tol: float = 1e-8
 
     def __post_init__(self):
         clean = {}
         for gamma, v in self.entries.items():
             key = tuple(sorted(int(g) for g in gamma))
             clean[key] = float(v)
-            if len(key) == 2 and key[0] == key[1] and v < -self.convexity_tol:
+            if len(key) == 2 and key[0] == key[1] and v < -_CONVEXITY_TOL:
                 raise ConfigurationError(
                     f"diagonal entry {key} = {v} violates convexity of the value function"
                 )

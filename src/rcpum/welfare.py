@@ -2,9 +2,9 @@
 aggregates.
 
 Two reconstruction routes: a multivariate Taylor polynomial assembled from
-recovered derivative tables (valid inside a trust radius, flagged outside),
-and a quadrature line integral of mean demand for models whose first
-characteristic carries a unit coefficient.
+the recovered value-function partials (valid inside a trust radius, flagged
+outside), and a quadrature line integral of mean demand for models whose
+first characteristic carries a unit coefficient.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .exceptions import ConfigurationError, ExtrapolationWarning, PreconditionEr
 PATH_NODES = 32
 WEIGHTINGS = ("unweighted", "inverse_abs_beta11")
 _UNIT_COEF_TOL = 1e-12
+TRUST_RADIUS_CAP = 1.0
+_CONVEXITY_TOL = 1e-6  # second differences down to -tol pass the probe
 
 
 @dataclass(frozen=True)
@@ -28,40 +30,41 @@ class TaylorVModel:
     """Taylor polynomial of the value function around the center index point.
 
     ``gradient`` holds the first-order coefficients (mean demand at the
-    center); ``tables`` maps derivative order (>= 2) to a VDerivTable.  The
-    additive constant is fixed by V(center) = 0.  Construction compiles the
-    polynomial to an exponent matrix (one row of per-good powers per term)
-    and multinomial-weighted coefficients, and its gradient likewise, then
-    probes axis and diagonal segments for numerical convexity.
+    center); ``v_derivs`` is the recovered VDerivTable of higher partials,
+    each key's length giving its order.  The additive constant is fixed by
+    V(center) = 0.  Construction compiles the polynomial, its terms sorted
+    by (order, key), to an exponent matrix (one row of per-good powers per
+    term) and multinomial-weighted coefficients, and its gradient likewise,
+    then probes axis and diagonal segments for numerical convexity.
     """
 
     gradient: np.ndarray
-    tables: dict
+    v_derivs: object
     trust_radius: float = 1.0
 
     def __post_init__(self):
         g = np.asarray(self.gradient, dtype=float)
         g.setflags(write=False)
         object.__setattr__(self, "gradient", g)
-        object.__setattr__(self, "tables", dict(self.tables))
-        terms = []
-        for order, tab in sorted(self.tables.items()):
-            for gamma, v in tab.items():
-                if len(gamma) != order:
-                    raise ConfigurationError(
-                        f"table at order {order} holds a key of length {len(gamma)}"
-                    )
-                if not all(1 <= k <= self.n_goods for k in gamma):
-                    raise ConfigurationError(
-                        f"Taylor term {gamma} names a good outside 1..{self.n_goods}"
-                    )
-                if not np.isfinite(v):
-                    raise ConfigurationError(f"non-finite Taylor coefficient at {gamma}")
-                terms.append((gamma, v))
-        goods = range(1, self.n_goods + 1)
-        exponents = np.array([[gamma.count(k) for k in goods] for gamma, _ in terms], dtype=int)
-        exponents = exponents.reshape(len(terms), self.n_goods)
-        coefs = np.array([v * _inverse_count_factorial(gamma) for gamma, v in terms], dtype=float)
+        K = self.n_goods
+        terms = sorted(self.v_derivs.items(), key=lambda item: (len(item[0]), item[0]))
+        keys = [gamma for gamma, _ in terms]
+        term_of = np.repeat(np.arange(len(keys)), [len(gamma) for gamma in keys])
+        goods = np.array([k for gamma in keys for k in gamma], dtype=int)
+        outside = term_of[(goods < 1) | (goods > K)]
+        if len(outside):
+            raise ConfigurationError(f"Taylor term {keys[outside[0]]} names a good outside 1..{K}")
+        values = np.array([v for _, v in terms], dtype=float)
+        nonfinite = np.flatnonzero(~np.isfinite(values))
+        if len(nonfinite):
+            raise ConfigurationError(f"non-finite Taylor coefficient at {keys[nonfinite[0]]}")
+        exponents = np.zeros((len(keys), K), dtype=int)
+        np.add.at(exponents, (term_of, goods - 1), 1)
+        factorials = np.array([math.factorial(e) for e in range(exponents.max(initial=0) + 1)])
+        weights = np.ones(len(keys))
+        for k in range(K):  # the multinomial weight 1 / prod_k e_k!, good by good
+            weights /= factorials[exponents[:, k]]
+        coefs = values * weights
         object.__setattr__(self, "_exponents", exponents)
         object.__setattr__(self, "_coefs", coefs)
         # the gradient's polynomial: d/du_k of each term with e_k > 0 is the
@@ -69,7 +72,7 @@ class TaylorVModel:
         terms_in, goods_in = np.nonzero(exponents)
         object.__setattr__(self, "_slope_goods", goods_in)
         object.__setattr__(
-            self, "_slope_exponents", exponents[terms_in] - np.eye(self.n_goods, dtype=int)[goods_in]
+            self, "_slope_exponents", exponents[terms_in] - np.eye(K, dtype=int)[goods_in]
         )
         object.__setattr__(self, "_slope_coefs", coefs[terms_in] * exponents[terms_in, goods_in])
         self._check_convexity()
@@ -78,7 +81,7 @@ class TaylorVModel:
     def n_goods(self):
         return len(self.gradient)
 
-    def _check_convexity(self, tol=1e-6):
+    def _check_convexity(self):
         k = self.n_goods
         eye = np.eye(k)
         directions = [eye[i] for i in range(k)]
@@ -96,14 +99,15 @@ class TaylorVModel:
         def along(shift):
             return self.values((directions[:, None, :] * (ts + shift)[:, None]).reshape(-1, k))
 
-        second = (along(step) - 2 * along(0.0) + along(-step)) / (step * step)
+        # a huge radius overflows the polynomial; its NaN fails the probe
+        with np.errstate(over="ignore", invalid="ignore"):
+            second = (along(step) - 2 * along(0.0) + along(-step)) / (step * step)
         second = second.reshape(len(directions), len(ts))
-        # a NaN second difference (the polynomial overflowed) fails the probe too
-        bad = np.argwhere(~(second >= -tol))
+        bad = np.argwhere(~(second >= -_CONVEXITY_TOL))
         if len(bad):
             i, j = bad[0]
             raise ConfigurationError(
-                f"Taylor model is non-convex along {directions[i]} at t={ts[j]:.3f} "
+                f"Taylor model is non-convex along {directions[i]} at t={ts[j]:.3g} "
                 f"(second diff {second[i, j]:.2e})"
             )
 
@@ -156,18 +160,11 @@ def _warn_outside(U, trust_radius):
         )
 
 
-def _inverse_count_factorial(gamma):
-    """1 / prod(count!) over repeated entries: the multinomial Taylor weight."""
-    mult = 1.0
-    for g in set(gamma):
-        mult /= math.factorial(gamma.count(g))
-    return mult
-
-
-def default_trust_radius(model, beta_dist, x, cap=1.0):
-    """Half the largest index magnitude over the support at x, capped."""
+def default_trust_radius(model, beta_dist, x):
+    """Half the largest index magnitude over the support at x, capped at
+    ``TRUST_RADIUS_CAP``."""
     largest = float(np.max(np.abs(model.indices(x, beta_dist.points))))
-    return min(cap, 0.5 * largest) if largest > 0 else cap
+    return min(TRUST_RADIUS_CAP, 0.5 * largest) if largest > 0 else TRUST_RADIUS_CAP
 
 
 def _first_char_positions(dims):
@@ -255,35 +252,3 @@ def average_indirect_utility(vmodel, model, beta_dist, x, weighting="unweighted"
     U = model.indices(np.asarray(x, dtype=float), betas)
     _warn_outside(U, vmodel.trust_radius)
     return float(weights @ vmodel.values(U))
-
-
-def _merge_atoms(values, weights):
-    agg = {}
-    for v, w in zip(values, weights):
-        agg[float(v)] = agg.get(float(v), 0.0) + float(w)
-    vals = np.array(sorted(agg))
-    wts = np.array([agg[v] for v in vals])
-    return vals, wts
-
-
-def quantile_match_vprime(w_atoms, w_weights, eta_atoms, eta_weights, grid_size=101):
-    """Monotone map carrying the index distribution onto the demand
-    distribution: the one-dimensional quantile rearrangement.
-
-    Both inputs are finite scalar distributions; piecewise-linear CDFs built
-    on the atoms proxy for absolute continuity.  Returns (grid, values) with
-    values nondecreasing.
-    """
-    ev, ew = _merge_atoms(eta_atoms, eta_weights)
-    wv, ww = _merge_atoms(w_atoms, w_weights)
-    if len(ev) < 2:
-        raise PreconditionError(
-            "index distribution is degenerate (single atom); the rearrangement "
-            "needs a non-degenerate coefficient distribution and a nonzero covariate"
-        )
-    ecdf = np.cumsum(ew)
-    wcdf = np.cumsum(ww)
-    grid = np.linspace(ev[0], ev[-1], grid_size)
-    q = np.interp(grid, ev, ecdf)
-    values = np.interp(q, wcdf, wv)
-    return grid, values

@@ -3,7 +3,6 @@ import pytest
 from rcpum import (
     AsfEvaluator,
     BundleModel,
-    BundleScenario,
     DiscreteBeta,
     LogitModel,
     derivative_table,
@@ -29,13 +28,13 @@ def logit_mixture_table(logit_mixture):
 
 
 def bundle_scenarios():
-    return (
-        BundleScenario(0.20, (0.5, -0.3), ((1, 2, 0.4),)),
-        BundleScenario(0.20, (-0.4, 0.6), ((1, 2, -0.5),)),
-        BundleScenario(0.15, (0.8, 0.2), ((1, 2, 0.3),)),
-        BundleScenario(0.15, (-0.2, -0.6), ((1, 2, 0.6),)),
-        BundleScenario(0.15, (0.3, 0.9), ((1, 2, -0.2),)),
-        BundleScenario(0.15, (1.0, -0.8), (), frozenset({(0.0, 0.0), (1.0, 0.0)})),
+    """Six disturbance scenarios over two goods, the last with a restricted
+    consideration set, as ``BundleModel`` keyword arguments."""
+    return dict(
+        weights=(0.20, 0.20, 0.15, 0.15, 0.15, 0.15),
+        intercepts=((0.5, -0.3), (-0.4, 0.6), (0.8, 0.2), (-0.2, -0.6), (0.3, 0.9), (1.0, -0.8)),
+        complementarities=[[(1, 2, v)] for v in (0.4, -0.5, 0.3, 0.6, -0.2)] + [[]],
+        consideration=(None,) * 5 + ({(0.0, 0.0), (1.0, 0.0)},),
     )
 
 
@@ -43,7 +42,7 @@ def bundle_scenarios():
 def smoothed_bundle():
     """Six-scenario bundle model (one restricted consideration set) with
     Gumbel smoothing and a four-point coefficient mixture."""
-    model = BundleModel(dims=DIMS_K2, scenarios=bundle_scenarios(), smoothing=1.0)
+    model = BundleModel(dims=DIMS_K2, smoothing=1.0, **bundle_scenarios())
     beta = DiscreteBeta(
         DIMS_K2, [[1.0, 1.0], [1.0, 3.0], [2.0, 1.0], [2.0, 2.0]], [0.25] * 4
     )

@@ -15,7 +15,6 @@ import pytest
 
 from rcpum import (
     AsfEvaluator,
-    BundleModel,
     DiscreteBeta,
     FdScheme,
     LogitModel,
@@ -77,8 +76,8 @@ def test_criterion_01_logit_scale_route():
 def test_criterion_02_bundles_route(smoothed_bundle, smoothed_bundle_table):
     model, beta = smoothed_bundle
     _, table = smoothed_bundle_table
-    assert len(model.scenarios) == 6
-    assert sum(1 for s in model.scenarios if s.consideration is not None) == 1
+    assert model.intercepts.shape == (6, 2)
+    assert sum(1 for c in model.consideration if c is not None) == 1
     assert len(beta.weights) == 4
     for m in (1, 2):
         scale = beta.moment(MomentIndex(((1, 1),) * m))
@@ -139,7 +138,8 @@ def test_criterion_05_symmetry(logit_mixture, logit_mixture_table, smoothed_bund
     )
     models = {
         "logit": LogitModel(dims=dims, alphas=(0.2, -0.1), outside_good=True),
-        "bundle": BundleModel(dims=dims, scenarios=smoothed_bundle[0].scenarios, smoothing=1.0),
+        # the fixture's scenarios over four characteristics
+        "bundle": dataclasses.replace(smoothed_bundle[0], dims=dims, center=None),
     }
     tables = {name: derivative_table(AsfEvaluator(m, beta), 2) for name, m in models.items()}
     for name, table in tables.items():
@@ -199,8 +199,7 @@ def test_criterion_07_v_recovery():
     for m in (1, 2):
         moments.update(dict(recover_moments_scale(table, m, 1.0).items()))
     v = recover_v_derivatives(table, moments)
-    tables = {o: VDerivTable({g: x for g, x in v.items() if len(g) == o}) for o in (2, 3)}
-    vmodel = TaylorVModel(gradient=evaluator.asf(model.center), tables=tables, trust_radius=0.35)
+    vmodel = TaylorVModel(gradient=evaluator.asf(model.center), v_derivs=v, trust_radius=0.35)
 
     def truth(u):
         return math.log((1.0 + math.exp(u[0]) + math.exp(u[1])) / 3.0)

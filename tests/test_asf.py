@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rcpum import (
     AsfEvaluator,
     BundleModel,
-    BundleScenario,
     ConfigurationError,
     DiscreteBeta,
     LogitModel,
@@ -48,8 +47,13 @@ def underflow_bundle(dims=DIMS):
     """Two goods with a complementarity of 8 at Gumbel scale 0.01: where the
     utility and the disturbance favour different bundles, the separately
     shifted factors of the dominant term underflow."""
-    scenarios = (BundleScenario(1.0, (0.0, 0.0), ((1, 2, 8.0),)),)
-    return BundleModel(dims=dims, scenarios=scenarios, smoothing=0.01)
+    return BundleModel(
+        dims=dims,
+        weights=(1.0,),
+        intercepts=((0.0, 0.0),),
+        complementarities=([(1, 2, 8.0)],),
+        smoothing=0.01,
+    )
 
 
 def test_symmetric_logit_at_center():
@@ -120,11 +124,13 @@ def test_mixture_linearity(w):
 def test_constant_in_beta_at_center():
     # with all indices zero the value function is evaluated at the same
     # point for every coefficient vector, so mean demand cannot depend on it
-    scenarios = (
-        BundleScenario(0.5, (0.4, -0.2), ((1, 2, 0.3),)),
-        BundleScenario(0.5, (-0.1, 0.5), ((1, 2, -0.6),)),
+    model = BundleModel(
+        dims=DIMS,
+        weights=(0.5, 0.5),
+        intercepts=((0.4, -0.2), (-0.1, 0.5)),
+        complementarities=([(1, 2, 0.3)], [(1, 2, -0.6)]),
+        smoothing=1.0,
     )
-    model = BundleModel(dims=DIMS, scenarios=scenarios, smoothing=1.0)
     c = model.center
     vals = [ybar_given_beta(model, c, np.array(b)) for b in ([0.0, 0.0], [5.0, -3.0], [1.0, 2.0])]
     for v in vals[1:]:
@@ -146,25 +152,6 @@ def test_repeated_asf_returns_equal_rows(logit_mixture):
     first = evaluator.asf(x)
     second = evaluator.asf(x.copy())
     assert np.array_equal(first, second)
-
-
-def test_one_good_rearrangement_end_to_end():
-    # demand values computed by the model at a fixed covariate, index atoms
-    # from the coefficient support: the rearrangement recovers the demand map
-    from rcpum import quantile_match_vprime
-
-    dims = (1,)
-    model = LogitModel(dims=dims, alphas=(0.0,), outside_good=True)
-    atoms = np.linspace(0.4, 1.6, 13)
-    beta = DiscreteBeta(dims, atoms.reshape(-1, 1), np.full(13, 1 / 13))
-    x = np.array([1.0])
-    w_atoms = [float(ybar_given_beta(model, x, np.array([b]))[0]) for b in atoms]
-    etas = [float(model.indices(x, np.array([b]))[0]) for b in atoms]
-    weights = [1 / 13] * 13
-    grid, f = quantile_match_vprime(w_atoms, weights, etas, weights, 25)
-    sigmoid = 1.0 / (1.0 + np.exp(-grid))
-    assert np.max(np.abs(f - sigmoid)) < 5e-3
-    assert np.all(np.diff(f) >= -1e-12)
 
 
 def test_concurrent_asf_reads_consistent(logit_mixture):
@@ -195,27 +182,48 @@ dyadic = st.integers(min_value=-64, max_value=64).map(lambda n: n / 16)
 DYADIC_WEIGHTS = {1: (1.0,), 2: (0.25, 0.75), 3: (0.5, 0.25, 0.25)}
 
 
+def considered(model, t):
+    """Scenario t's considered lattice bundles and their disturbances,
+    summed from the raw intercepts and pairs as the benchmark oracle does,
+    without the compiled D."""
+    c = model.consideration[t]
+    bundles = [y for y in model.lattice if c is None or y in c]
+    disturbances = [
+        sum(q * e for q, e in zip(y, model.intercepts[t]))
+        + sum(y[j - 1] * y[k - 1] * v for j, k, v in model.complementarities[t])
+        for y in bundles
+    ]
+    return np.array(bundles), np.array(disturbances)
+
+
+def draw_bundle_model(draw, dims, numbers, weights, smoothing, quantities=(0.0, 1.0)):
+    """A smoothed bundle model over quantities^K with a pair term on every
+    good pair and random consideration sets."""
+    n_goods = len(dims)
+    lattice = list(itertools.product(quantities, repeat=n_goods))
+    pairs = list(itertools.combinations(range(1, n_goods + 1), 2))
+    T = len(weights)
+    return BundleModel(
+        dims=dims,
+        weights=weights,
+        intercepts=[draw(st.lists(numbers, min_size=n_goods, max_size=n_goods)) for _ in range(T)],
+        complementarities=[[(j, k, draw(numbers)) for j, k in pairs] for _ in range(T)],
+        consideration=[
+            draw(st.none() | st.sets(st.sampled_from(lattice), min_size=1)) for _ in range(T)
+        ],
+        lattice=lattice,
+        smoothing=smoothing,
+    )
+
+
 @st.composite
 def finite_scenario_models(draw):
-    """A smoothed bundle model over {0,1}^K with consideration sets,
-    returned with its scenario weights."""
+    """A smoothed bundle model over {0,1}^K with consideration sets and
+    dyadic numbers."""
     smoothing = draw(st.sampled_from((0.5, 1.0, 2.0)))
     dims = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
-    n_goods = len(dims)
-    lattice = list(itertools.product((0.0, 1.0), repeat=n_goods))
-    subsets = st.sets(st.sampled_from(lattice), min_size=1)
-    pairs = list(itertools.combinations(range(1, n_goods + 1), 2))
     weights = DYADIC_WEIGHTS[draw(st.integers(1, 3))]
-    scenarios = tuple(
-        BundleScenario(
-            w,
-            tuple(draw(st.lists(dyadic, min_size=n_goods, max_size=n_goods))),
-            tuple((j, k, draw(dyadic)) for j, k in pairs),
-            draw(st.none() | subsets.map(frozenset)),
-        )
-        for w in weights
-    )
-    return BundleModel(dims=dims, scenarios=scenarios, smoothing=smoothing), weights
+    return draw_bundle_model(draw, dims, dyadic, weights, smoothing)
 
 
 def draw_point_and_support(data, model, coords=dyadic):
@@ -248,19 +256,18 @@ def assert_batched_rows(model, x, support, reference, atol):
 
 
 @given(finite_scenario_models(), st.data())
-def test_smoothed_bundle_kernel_matches_softmax_enumeration(model_weights, data):
-    model, weights = model_weights
+def test_smoothed_bundle_kernel_matches_softmax_enumeration(model, data):
     x, support = draw_point_and_support(data, model)
 
     def reference(beta):
         idx = loop_indices(model, x, beta)
         out = np.zeros(model.n_goods)
-        for w, scen in zip(weights, model.scenarios):
-            bundles = [y for y in model.lattice if scen.disturbance(y) > -np.inf]
-            z = np.array([(np.dot(y, idx) + scen.disturbance(y)) for y in bundles])
+        for t, w in enumerate(model.weights):
+            bundles, disturbances = considered(model, t)
+            z = bundles @ idx + disturbances
             z = (z - z.max()) / model.smoothing
             p = np.exp(z) / np.exp(z).sum()
-            out += w * (p @ np.array(bundles))
+            out += w * (p @ bundles)
         return out
 
     assert_batched_rows(model, x, support, reference, 1e-14)
@@ -298,26 +305,26 @@ def test_logit_kernel_matches_closed_form(alphas, outside_good, index_form, data
 
 def test_bundle_disturbances_compiled_once(monkeypatch):
     calls = []
-    disturbance = BundleScenario.disturbance
+    compile_kernel = BundleModel._compile
 
-    def counted(self, y):
-        calls.append(y)
-        return disturbance(self, y)
+    def counted(self, *args):
+        calls.append(args)
+        return compile_kernel(self, *args)
 
-    monkeypatch.setattr(BundleScenario, "disturbance", counted)
-    scenarios = (
-        BundleScenario(0.5, (0.4, -0.2), ((1, 2, 0.3),)),
-        BundleScenario(0.25, (-0.1, 0.5), ((1, 2, -0.6),)),
-        BundleScenario(0.25, (1.0, -0.8), (), frozenset({(0.0, 0.0), (1.0, 0.0)})),
+    monkeypatch.setattr(BundleModel, "_compile", counted)
+    model = BundleModel(
+        dims=DIMS,
+        weights=(0.5, 0.25, 0.25),
+        intercepts=((0.4, -0.2), (-0.1, 0.5), (1.0, -0.8)),
+        complementarities=([(1, 2, 0.3)], [(1, 2, -0.6)], []),
+        consideration=(None, None, {(0.0, 0.0), (1.0, 0.0)}),
+        smoothing=1.0,
     )
-    model = BundleModel(dims=DIMS, scenarios=scenarios, smoothing=1.0)
+    assert len(calls) == 1
     evaluator = AsfEvaluator(model, DiscreteBeta(DIMS, [[1.0, 1.0], [1.0, 3.0]], [0.5, 0.5]))
-    evaluator.asf(np.zeros(2))
-    compiled = len(calls)
-    assert compiled == len(scenarios) * len(model.lattice)
-    for i in range(1, 20):
+    for i in range(20):
         evaluator.asf(np.array([0.01 * i, -0.02 * i]))
-    assert len(calls) == compiled
+    assert len(calls) == 1
 
 
 def test_underflowing_factors_fall_back_to_the_joint_shift():
@@ -342,6 +349,37 @@ small = st.floats(-2.0, 2.0)
 
 
 @st.composite
+def bundle_models_with_quantities(draw):
+    """A bundle model with non-dyadic numbers over a {0, 1, 2}^K or
+    {0, 1}^K lattice, up to four scenarios."""
+    T = draw(st.integers(1, 4))
+    weights = [1.0 / T] * (T - 1)
+    weights.append(1.0 - sum(weights))
+    dims = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    quantities = draw(st.sampled_from(((0.0, 1.0), (0.0, 1.0, 2.0))))
+    return draw_bundle_model(draw, dims, small, weights, 1.0, quantities)
+
+
+@given(bundle_models_with_quantities())
+def test_compiled_disturbances_equal_a_per_bundle_loop(model):
+    # the per-(scenario, bundle) loop the kernel's D is compiled to match,
+    # bit for bit: intercepts good by good, then pairs in the given order
+    budget = list(dict.fromkeys(model.lattice))
+    for t, row in enumerate(model.kernel.D):
+        want = []
+        for y in budget:
+            c = model.consideration[t]
+            if c is not None and y not in c:
+                want.append(-np.inf)
+                continue
+            d = sum(q * e for q, e in zip(y, model.intercepts[t].tolist()))
+            for j, k, v in model.complementarities[t]:
+                d += y[j - 1] * y[k - 1] * v
+            want.append(d)
+        assert row.tobytes() == np.array(want).tobytes()
+
+
+@st.composite
 def small_kernel_models(draw):
     """A smoothed bundle over {0,1}^K with consideration sets, or a logit,
     with K <= 4, up to 6 scenarios and non-dyadic numbers."""
@@ -350,20 +388,10 @@ def small_kernel_models(draw):
     numbers = st.lists(small, min_size=n_goods, max_size=n_goods)
     if draw(st.booleans()):
         return LogitModel(dims=dims, alphas=tuple(draw(numbers)), outside_good=draw(st.booleans()))
-    lattice = list(itertools.product((0.0, 1.0), repeat=n_goods))
     raw = np.array(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)), dtype=float)
     weights = raw / raw.sum()
     weights[-1] = 1.0 - weights[:-1].sum()
-    scenarios = tuple(
-        BundleScenario(
-            w,
-            tuple(draw(numbers)),
-            tuple((j, k, draw(small)) for j, k in itertools.combinations(range(1, n_goods + 1), 2)),
-            draw(st.none() | st.sets(st.sampled_from(lattice), min_size=1).map(frozenset)),
-        )
-        for w in weights
-    )
-    return BundleModel(dims=dims, scenarios=scenarios, smoothing=draw(st.floats(0.25, 2.0)))
+    return draw_bundle_model(draw, dims, small, weights, draw(st.floats(0.25, 2.0)))
 
 
 @given(small_kernel_models(), st.data())
@@ -382,15 +410,18 @@ def test_asf_batch_memory_stays_below_the_four_dimensional_softmax():
     # K 4 (budget 16) with 8 scenarios: the joint-shift kernel allocated one
     # (nodes, S, T, B) float64 array per call
     rng = np.random.default_rng(11)
-    scenarios = tuple(
-        BundleScenario(
-            0.125,
-            tuple(rng.uniform(-1, 1, 4)),
-            tuple((j, k, rng.uniform(-1, 1)) for j, k in itertools.combinations(range(1, 5), 2)),
-        )
-        for _ in range(8)
+    pairs = list(itertools.combinations(range(1, 5), 2))
+    intercepts, comps = [], []
+    for _ in range(8):
+        intercepts.append(rng.uniform(-1, 1, 4))
+        comps.append([(j, k, rng.uniform(-1, 1)) for j, k in pairs])
+    model = BundleModel(
+        dims=(1, 1, 1, 1),
+        weights=[0.125] * 8,
+        intercepts=intercepts,
+        complementarities=comps,
+        smoothing=0.8,
     )
-    model = BundleModel(dims=(1, 1, 1, 1), scenarios=scenarios, smoothing=0.8)
     S = 8
     beta = DiscreteBeta(model.dims, rng.uniform(0.5, 1.5, (S, 4)), np.full(S, 1 / S))
     evaluator = AsfEvaluator(model, beta)
@@ -409,10 +440,10 @@ def test_asf_batch_memory_stays_below_the_four_dimensional_softmax():
 def _batch_models():
     smoothed = BundleModel(
         dims=(1, 2),
-        scenarios=(
-            BundleScenario(0.6, (0.5, -0.3), ((1, 2, 0.4),)),
-            BundleScenario(0.4, (-0.2, 0.1), (), frozenset({(0.0, 0.0), (1.0, 1.0)})),
-        ),
+        weights=(0.6, 0.4),
+        intercepts=((0.5, -0.3), (-0.2, 0.1)),
+        complementarities=([(1, 2, 0.4)], []),
+        consideration=(None, {(0.0, 0.0), (1.0, 1.0)}),
         smoothing=0.7,
     )
     power = LogitModel(

@@ -501,6 +501,8 @@ def _set(path, value, *more, names=()):
             "logit_k2_mixture",
             _set(("welfare", "path_segments"), 3, names=("welfare.path_segments",)),
         ),
+        ("logit_k2_mixture", _set(("model", "type"), [], names=("model.type",))),
+        ("independence_k2", _set(("beta", "type"), {}, names=("beta.type",))),
     ],
     ids=[
         "scales_list",
@@ -578,6 +580,8 @@ def _set(path, value, *more, names=()):
         "marginal_weights_number",
         "welfare_points_number",
         "path_segments_number",
+        "model_type_array",
+        "beta_type_object",
     ],
 )
 def test_invalid_config_exits_one(tmp_path, capsys, name, edit):

@@ -8,7 +8,6 @@ import io
 import json
 import math
 import tempfile
-import warnings
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -96,14 +95,16 @@ def mutations(draw):
 @example(("independence_k2", ((("recovery", "max_order"), "set", 1e308),)))
 @example(("logit_k2_mixture", ((("welfare", "trust_radius"), "set", 1e308),)))
 @example(("logit_k2_mixture", ((("model", "dims", 0), "set", 10**12),)))
+@example(("logit_k2_mixture", ((("model", "type"), "set", []),)))
+@example(("independence_k2", ((("beta", "type"), "set", {}),)))
+@example(("logit_k2_mixture", tuple((("beta", "weights", i), "set", 1e308) for i in (0, 1))))
 def test_mutated_config_exits_cleanly(case):
     name, edits = case
     raw = copy.deepcopy(CONFIGS[name])
     for edit in edits:
         _apply(raw, edit)
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with tempfile.TemporaryDirectory() as tmp:
         cfg = f"{tmp}/cfg.json"
         with open(cfg, "w", encoding="utf-8") as fh:
             json.dump(raw, fh)

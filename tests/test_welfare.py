@@ -18,7 +18,6 @@ from rcpum import (
     default_trust_radius,
     derivative_table,
     path_integral_v,
-    quantile_match_vprime,
     recover_moments_scale,
     recover_v_derivatives,
 )
@@ -40,10 +39,7 @@ def recovered_taylor():
     for order in (1, 2):
         moments.update(dict(recover_moments_scale(table, order, 1.0).items()))
     v = recover_v_derivatives(table, moments)
-    tables = {
-        o: VDerivTable({g: val for g, val in v.items() if len(g) == o}) for o in (2, 3)
-    }
-    vmodel = TaylorVModel(gradient=evaluator.asf(model.center), tables=tables, trust_radius=0.35)
+    vmodel = TaylorVModel(gradient=evaluator.asf(model.center), v_derivs=v, trust_radius=0.35)
     return model, beta, evaluator, vmodel
 
 
@@ -108,8 +104,8 @@ def test_taylor_with_supplied_derivatives_no_outside_good():
     # all third-order coefficients vanish at the center, so the order-3
     # Taylor value is the quadratic and still lands within 1e-4 at 0.1
     entries = LogitModel(dims=DIMS, alphas=ALPHAS).kernel.value_partials(3)
-    tables = {o: VDerivTable({g: v for g, v in entries.items() if len(g) == o}) for o in (2, 3)}
-    vmodel = TaylorVModel(gradient=np.array([0.5, 0.5]), tables=tables, trust_radius=0.35)
+    v_derivs = VDerivTable({g: v for g, v in entries.items() if len(g) > 1})
+    vmodel = TaylorVModel(gradient=np.array([0.5, 0.5]), v_derivs=v_derivs, trust_radius=0.35)
     truth = math.log((math.exp(0.1) + 1.0) / 2.0)
     assert vmodel.value((0.1, 0.0)) == pytest.approx(truth, abs=1e-4)
     assert vmodel.value((0.1, 0.0)) == pytest.approx(vmodel.value((0.0, 0.1)), abs=1e-15)
@@ -201,8 +197,7 @@ def test_average_indirect_utility_mixture_closed_form():
     for order in (1, 2):
         moments.update(dict(recover_moments_scale(table, order, 1.0).items()))
     v = recover_v_derivatives(table, moments)
-    tables = {o: VDerivTable({g: val for g, val in v.items() if len(g) == o}) for o in (2, 3)}
-    vmodel = TaylorVModel(gradient=evaluator.asf(model.center), tables=tables, trust_radius=0.5)
+    vmodel = TaylorVModel(gradient=evaluator.asf(model.center), v_derivs=v, trust_radius=0.5)
     x = np.array([0.1, 0.1])
     got = average_indirect_utility(vmodel, model, mix, x)
     want = 0.5 * closed_form((0.1, 0.1)) + 0.5 * closed_form((0.1, 0.3))
@@ -264,42 +259,6 @@ def test_counterfactual_taylor_gradient_inside_radius(recovered_taylor):
     assert np.all(via_taylor >= 0.0) and via_taylor.sum() <= 1.0 + 1e-9
 
 
-def test_quantile_match_identity_transport():
-    atoms = [0.2, 0.5, 0.9]
-    weights = [0.3, 0.4, 0.3]
-    grid, f = quantile_match_vprime(atoms, weights, atoms, weights, 21)
-    assert np.allclose(f, grid, atol=1e-12)
-
-
-def test_quantile_match_recovers_sigmoid():
-    # one good with an outside option: demand is the sigmoid of the index
-    etas = [0.5, 1.5]
-    ws = [1.0 / (1.0 + math.exp(-e)) for e in etas]
-    grid, f = quantile_match_vprime(ws, [0.5, 0.5], etas, [0.5, 0.5], 11)
-    sig = 1.0 / (1.0 + np.exp(-grid))
-    assert np.max(np.abs(f - sig)) < 0.02
-    # a finer atom grid tightens the piecewise-linear proxy
-    etas = np.linspace(0.25, 1.75, 31)
-    ws = 1.0 / (1.0 + np.exp(-etas))
-    w_w = np.full(len(etas), 1.0 / len(etas))
-    grid, f = quantile_match_vprime(ws, w_w, etas, w_w, 41)
-    assert np.max(np.abs(f - 1.0 / (1.0 + np.exp(-grid)))) < 2e-3
-
-
-def test_quantile_match_monotone():
-    rng = np.random.default_rng(11)
-    etas = np.sort(rng.uniform(-1, 1, size=7))
-    ws = np.sort(rng.uniform(0, 1, size=7))
-    weights = rng.dirichlet(np.ones(7))
-    grid, f = quantile_match_vprime(ws, weights, etas, weights, 33)
-    assert np.all(np.diff(f) >= -1e-12)
-
-
-def test_quantile_match_rejects_degenerate_index():
-    with pytest.raises(PreconditionError):
-        quantile_match_vprime([0.3, 0.4], [0.5, 0.5], [1.0, 1.0], [0.5, 0.5])
-
-
 def test_default_trust_radius_half_largest_index():
     model = LogitModel(dims=DIMS, alphas=ALPHAS, outside_good=True)
     beta = DiscreteBeta(DIMS, [[1.0, 1.0], [1.0, 3.0]], [0.5, 0.5])
@@ -326,20 +285,16 @@ def test_taylor_weights_match_ordered_sum():
         sym3 += np.transpose(third, perm)
     sym3 /= 6.0
 
-    tables = {
-        2: VDerivTable(
-            {(i + 1, j + 1): hess[i, j] for i in range(k) for j in range(i, k)}
-        ),
-        3: VDerivTable(
-            {
-                tuple(sorted((i + 1, j + 1, l + 1))): sym3[i, j, l]
-                for i in range(k)
-                for j in range(i, k)
-                for l in range(j, k)
-            }
-        ),
-    }
-    vmodel = TaylorVModel(gradient=grad, tables=tables, trust_radius=0.4)
+    v_derivs = VDerivTable(
+        {(i + 1, j + 1): hess[i, j] for i in range(k) for j in range(i, k)}
+        | {
+            (i + 1, j + 1, l + 1): sym3[i, j, l]
+            for i in range(k)
+            for j in range(i, k)
+            for l in range(j, k)
+        }
+    )
+    vmodel = TaylorVModel(gradient=grad, v_derivs=v_derivs, trust_radius=0.4)
 
     u = rng.uniform(-0.2, 0.2, size=k)
     ordered = float(grad @ u)
@@ -365,7 +320,7 @@ def test_taylor_model_rejects_nonconvex_tables():
     with pytest.raises(ConfigurationError):
         TaylorVModel(
             gradient=np.array([0.5, 0.5]),
-            tables={2: VDerivTable({(1, 1): 0.25, (1, 2): 0.6, (2, 2): 0.25})},
+            v_derivs=VDerivTable({(1, 1): 0.25, (1, 2): 0.6, (2, 2): 0.25}),
             trust_radius=0.5,
         )
 
@@ -374,14 +329,13 @@ def _reference_taylor_sum(vmodel, u):
     """V(u) by the per-term loop: coefficient times multinomial weight times
     the product of the indices it names."""
     total = float(np.dot(vmodel.gradient, u))
-    for order in sorted(vmodel.tables):
-        for gamma, coef in vmodel.tables[order].items():
-            term = coef
-            for g in set(gamma):
-                term /= math.factorial(gamma.count(g))
-            for g in gamma:
-                term *= u[g - 1]
-            total += term
+    for gamma, coef in vmodel.v_derivs.items():
+        term = coef
+        for g in set(gamma):
+            term /= math.factorial(gamma.count(g))
+        for g in gamma:
+            term *= u[g - 1]
+        total += term
     return total
 
 
@@ -400,16 +354,16 @@ def test_taylor_values_three_goods_fourth_order():
     goods = (1, 2, 3)
     # a dominant diagonal keeps the polynomial convex on the probes
     scale = {2: 0.05, 3: 0.02, 4: 0.05}
-    tables = {
-        m: VDerivTable(
-            {
-                g: (0.3 if len(set(g)) == 1 else scale[m]) * rng.uniform(0.5, 1.0)
-                for g in itertools.combinations_with_replacement(goods, m)
-            }
-        )
-        for m in (2, 3, 4)
-    }
-    vmodel = TaylorVModel(gradient=np.array([0.2, 0.3, 0.1]), tables=tables, trust_radius=0.3)
+    v_derivs = VDerivTable(
+        {
+            g: (0.3 if len(set(g)) == 1 else scale[m]) * rng.uniform(0.5, 1.0)
+            for m in (2, 3, 4)
+            for g in itertools.combinations_with_replacement(goods, m)
+        }
+    )
+    vmodel = TaylorVModel(
+        gradient=np.array([0.2, 0.3, 0.1]), v_derivs=v_derivs, trust_radius=0.3
+    )
     U = rng.uniform(-0.3, 0.3, size=(25, 3))
     for u, v in zip(U, vmodel.values(U)):
         assert v == pytest.approx(_reference_taylor_sum(vmodel, u), rel=1e-14, abs=1e-17)
@@ -419,7 +373,7 @@ def _power_formula(vmodel, U):
     """V(u) at every row of U and the gradient at each, with every monomial
     taken by ``**``; the clipped exponents keep 0 * inf out at u_k = 0."""
     goods = range(1, vmodel.n_goods + 1)
-    terms = [(g, v) for order in sorted(vmodel.tables) for g, v in vmodel.tables[order].items()]
+    terms = vmodel.v_derivs.items()
     exponents = np.array([[g.count(k) for k in goods] for g, _ in terms])
     coefs = np.array([v / math.prod(math.factorial(g.count(k)) for k in set(g)) for g, v in terms])
     values = U @ vmodel.gradient + np.prod(U[:, None, :] ** exponents, axis=-1) @ coefs
@@ -434,16 +388,14 @@ def test_taylor_power_table_matches_power_formula():
     rng = np.random.default_rng(31)
     goods = (1, 2, 3, 4)
     # a dominant diagonal keeps the polynomial convex on the probes
-    tables = {
-        m: VDerivTable(
-            {
-                g: (0.3 if len(set(g)) == 1 else 0.02) * rng.uniform(0.5, 1.0)
-                for g in itertools.combinations_with_replacement(goods, m)
-            }
-        )
-        for m in (2, 3, 4)
-    }
-    vmodel = TaylorVModel(gradient=np.array([0.2, 0.3, 0.1, 0.25]), tables=tables)
+    v_derivs = VDerivTable(
+        {
+            g: (0.3 if len(set(g)) == 1 else 0.02) * rng.uniform(0.5, 1.0)
+            for m in (2, 3, 4)
+            for g in itertools.combinations_with_replacement(goods, m)
+        }
+    )
+    vmodel = TaylorVModel(gradient=np.array([0.2, 0.3, 0.1, 0.25]), v_derivs=v_derivs)
     U = rng.uniform(-0.5, 0.5, size=(30, 4))
     U[::3, 1] = 0.0  # rows with a zero index
     U[1, [0, 2]] = 0.0
@@ -458,7 +410,7 @@ def test_taylor_power_table_matches_power_formula():
 def test_taylor_model_rejects_terms_outside_goods():
     for gamma in ((0, 1), (1, 3)):
         with pytest.raises(ConfigurationError, match="outside 1..2"):
-            TaylorVModel(gradient=np.array([0.5, 0.5]), tables={2: VDerivTable({gamma: 0.1})})
+            TaylorVModel(gradient=np.array([0.5, 0.5]), v_derivs=VDerivTable({gamma: 0.1}))
 
 
 def test_taylor_model_rejects_diagonal_nonconvexity():
@@ -466,19 +418,19 @@ def test_taylor_model_rejects_diagonal_nonconvexity():
     with pytest.raises(ConfigurationError, match=r"non-convex along \[ 0.7"):
         TaylorVModel(
             gradient=np.array([0.5, 0.5]),
-            tables={2: VDerivTable({(1, 1): 0.2, (1, 2): 0.3, (2, 2): 0.2})},
+            v_derivs=VDerivTable({(1, 1): 0.2, (1, 2): 0.3, (2, 2): 0.2}),
             trust_radius=0.5,
         )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_taylor_model_rejects_overflowing_convexity_probe():
     # probes that far out overflow the polynomial, and a NaN second
-    # difference certifies nothing
-    with pytest.raises(ConfigurationError, match=r"second diff nan"):
+    # difference certifies nothing; the overflow itself warns nothing (the
+    # suite turns a RuntimeWarning into an error) and t prints short
+    with pytest.raises(ConfigurationError, match=r"at t=-8e\+307 \(second diff nan\)"):
         TaylorVModel(
             gradient=np.array([0.5, 0.5]),
-            tables={2: VDerivTable({(1, 1): 0.2, (1, 2): 0.0, (2, 2): 0.2})},
+            v_derivs=VDerivTable({(1, 1): 0.2, (1, 2): 0.0, (2, 2): 0.2}),
             trust_radius=1e308,
         )
 
